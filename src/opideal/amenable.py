@@ -59,12 +59,18 @@ class FiniteGroup:
     __slots__ = ("order", "table", "inverse", "identity", "labels", "name")
 
     def __init__(self, table, labels=None, name: str = ""):
-        t = np.asarray(table, dtype=int)
+        try:
+            t = np.asarray(table)
+        except ValueError:          # ragged rows
+            raise InputError("cayley table must be square") from None
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InputError("cayley table must be square")
         n = t.shape[0]
         if n < 1:
             raise InputError("group must have at least one element")
+        if t.dtype.kind not in "iu":
+            raise InputError("cayley table entries must be integer element indices")
+        t = t.astype(int, copy=False)
         if t.min() < 0 or t.max() >= n:
             raise InputError("cayley table entries must be element indices")
         rng_idx = np.arange(n)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, InputError
 from .factor import qb_nest
@@ -309,6 +308,10 @@ def random_group_element(typ: str, structure: StructureData | None = None,
             raise InputError("give either a structure or the dimension n")
         structure = default_structure(typ, n)
     validate_structure(typ, structure)
+    # Deferred so that importing the package (and so every CLI request)
+    # does not pay for scipy.linalg; no subcommand samples group elements.
+    from scipy.linalg import expm
+
     dim = structure.n
     rng = np.random.default_rng(seed)
     g = np.eye(dim, dtype=complex)

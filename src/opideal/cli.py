@@ -43,6 +43,13 @@ def _parse_ints(text: str, what: str):
         raise InputError(f"{what} must be a comma-separated integer list") from None
 
 
+def _parse_split(text: str):
+    split = _parse_ints(text, "--split")
+    if len(split) != 2:
+        raise InputError("--split must be two integers p,q")
+    return tuple(split)
+
+
 def _rel(delta, ref) -> float:
     return float(delta / ref) if ref > 0 else float(delta)
 
@@ -174,7 +181,7 @@ def _cmd_qr_nest(args):
 
 def _cmd_cartan(args):
     g = serialize.load_matrix(args.matrix)
-    split = tuple(_parse_ints(args.split, "--split")) if args.split else None
+    split = _parse_split(args.split) if args.split else None
     structure = classical.default_structure(args.type, g.shape[0], split=split)
     factors = classical.cartan_decompose(g, args.type, structure)
     expx = classical._eigh_fun(factors.x, np.exp)
@@ -212,7 +219,7 @@ def _cmd_iwasawa(args):
 
 def _cmd_hc(args):
     g = serialize.load_matrix(args.matrix)
-    p, q = _parse_ints(args.split, "--split")
+    p, q = _parse_split(args.split)
     split = harish.BlockSplit(p, q)
     factors = harish.hc_factorize(g, split)
     recon = (harish.upper_unipotent(factors.zplus, split)

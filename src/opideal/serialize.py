@@ -30,18 +30,43 @@ __all__ = [
 ]
 
 
+def _is_int(val) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _require(obj: dict, field: str, kind=None):
     if field not in obj:
         raise InputError(f"missing field {field!r}")
     val = obj[field]
-    if kind is not None and not isinstance(val, kind):
+    if not (_is_int(val) if kind is int else kind is None or isinstance(val, kind)):
         raise InputError(f"field {field!r} has wrong type")
     return val
 
 
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _complex_pairs(data: list, field: str) -> np.ndarray:
+    """A list of [re, im] pairs as a flat complex array."""
+    try:
+        pairs = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError(f"field {field!r} must be a list of [re, im] pairs")
+    # Each C-contiguous (re, im) row of float64 is one complex128.
+    return pairs.view(complex).ravel()
+
+
 def matrix_to_obj(m) -> dict:
     m = as_matrix(m)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = np.stack([m.real.ravel(), m.imag.ravel()], axis=1).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
@@ -56,12 +81,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     if len(data) != rows * cols:
         raise InputError(
             f"field 'data' has {len(data)} entries, expected rows*cols={rows * cols}")
-    flat = []
-    for i, pair in enumerate(data):
-        if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-            raise InputError(f"field 'data' entry {i} is not an [re, im] pair")
-        flat.append(complex(float(pair[0]), float(pair[1])))
-    return as_matrix(np.array(flat, dtype=complex).reshape(rows, cols))
+    return as_matrix(_complex_pairs(data, "data").reshape(rows, cols))
 
 
 def save_matrix(path, m) -> None:
@@ -70,8 +90,7 @@ def save_matrix(path, m) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_obj(json.load(fh))
+    return matrix_from_obj(_load_json(path))
 
 
 def flag_to_obj(flag: Flag) -> dict:
@@ -83,6 +102,8 @@ def flag_from_obj(obj) -> Flag:
         raise InputError("flag object must be a JSON object")
     basis = matrix_from_obj(_require(obj, "basis", dict))
     dims = _require(obj, "dims", list)
+    if not all(_is_int(d) for d in dims):
+        raise InputError("field 'dims' must be a list of integers")
     return Flag(basis, dims)
 
 
@@ -92,8 +113,7 @@ def save_flag(path, flag: Flag) -> None:
 
 
 def load_flag(path) -> Flag:
-    with open(path) as fh:
-        return flag_from_obj(json.load(fh))
+    return flag_from_obj(_load_json(path))
 
 
 def sequence_to_csv(seq) -> str:
@@ -121,7 +141,11 @@ def save_sequence(path, seq) -> None:
 
 def load_sequence(path) -> NonincreasingSequence:
     with open(path) as fh:
-        return sequence_from_csv(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not a text file: {exc}") from None
+    return sequence_from_csv(text)
 
 
 def group_from_obj(obj) -> FiniteGroup:
@@ -132,12 +156,13 @@ def group_from_obj(obj) -> FiniteGroup:
     if len(table) != order:
         raise InputError(f"field 'table' has {len(table)} rows, expected {order}")
     labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError("field 'labels' must be a list")
     return FiniteGroup(table, labels=labels)
 
 
 def load_group(path) -> FiniteGroup:
-    with open(path) as fh:
-        return group_from_obj(json.load(fh))
+    return group_from_obj(_load_json(path))
 
 
 _BUILTIN_GROUPS = {
@@ -167,17 +192,11 @@ def functional_from_obj(obj, group: FiniteGroup) -> Functional:
     if not isinstance(obj, dict):
         raise InputError("functional object must be a JSON object")
     data = _require(obj, "weights", list)
-    weights = []
-    for i, pair in enumerate(data):
-        if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-            raise InputError(f"field 'weights' entry {i} is not an [re, im] pair")
-        weights.append(complex(float(pair[0]), float(pair[1])))
-    return Functional(group, weights)
+    return Functional(group, _complex_pairs(data, "weights"))
 
 
 def load_functional(path, group: FiniteGroup) -> Functional:
-    with open(path) as fh:
-        return functional_from_obj(json.load(fh), group)
+    return functional_from_obj(_load_json(path), group)
 
 
 def structure_from_obj(obj) -> tuple[str, StructureData]:
@@ -187,12 +206,11 @@ def structure_from_obj(obj) -> tuple[str, StructureData]:
     n = _require(obj, "n", int)
     split = obj.get("split")
     if split is not None:
-        if not isinstance(split, list) or len(split) != 2:
+        if not isinstance(split, list) or len(split) != 2 or not all(map(_is_int, split)):
             raise InputError("field 'split' must be a pair [p, q]")
-        split = (int(split[0]), int(split[1]))
+        split = tuple(split)
     return typ, default_structure(typ, n, split=split)
 
 
 def load_structure(path) -> tuple[str, StructureData]:
-    with open(path) as fh:
-        return structure_from_obj(json.load(fh))
+    return structure_from_obj(_load_json(path))

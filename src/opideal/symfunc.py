@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InputError
 from .utils import as_matrix
@@ -132,9 +131,10 @@ class SymNormFunc:
             return cls.schatten(p)
         if kind == "kyfan":
             try:
-                return cls.kyfan(int(param))
+                k = int(param)
             except ValueError:
                 raise InputError(f"bad kyfan parameter {param!r}") from None
+            return cls.kyfan(k)
         raise InputError(f"unknown gauge kind {kind!r}")
 
     def __str__(self) -> str:
@@ -260,6 +260,10 @@ def _ascend(phi: SymNormFunc, eta: np.ndarray, delta0: np.ndarray,
     if g0 <= 0.0:
         return 0.0
     x0 = delta0 / g0
+
+    # Imported here, not at module level: scipy.optimize takes longer to
+    # import than the rest of the package, and only this estimate needs it.
+    from scipy.optimize import minimize
 
     res = minimize(
         lambda d: -float(np.dot(csum, np.clip(d, 0.0, None))),

@@ -10,8 +10,8 @@ import itertools
 
 import numpy as np
 
-from opideal import Flag, UnitaryRep, symmetric_group
-from opideal.utils import crandn, dagger
+from opideal import Flag, UnitaryRep, project, symmetric_group
+from opideal.utils import crandn, dagger, opnorm
 
 
 def random_flag(rng, n, dims=None):
@@ -44,6 +44,17 @@ def gram_schmidt_qr(g):
         r[j, j] = np.linalg.norm(v)
         q[:, j] = v / r[j, j]
     return q, r
+
+
+def nest_membership_per_cut(b, flag, tol):
+    """Nest-algebra membership cut by cut: ||b e - e b e||_2 <= tol for every
+    flag projection e, formed in the original basis."""
+    for k in flag.dims:
+        e = project(flag, k)
+        be = b @ e
+        if opnorm(be - e @ be) > tol:
+            return False
+    return True
 
 
 def positive_qr(g):

@@ -55,8 +55,32 @@ def test_matrix_schema_errors():
         matrix_from_obj({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
     with pytest.raises(InputError, match="pair"):
         matrix_from_obj({"rows": 1, "cols": 1, "data": [[1.0]]})
+    with pytest.raises(InputError, match="pair"):
+        matrix_from_obj({"rows": 1, "cols": 2, "data": [[1.0, 0.0], [1.0]]})
+    with pytest.raises(InputError, match="pair"):
+        matrix_from_obj({"rows": 1, "cols": 1, "data": [{"re": 1.0}]})
+    with pytest.raises(InputError, match="rows"):
+        matrix_from_obj({"rows": True, "cols": 1, "data": [[1.0, 0.0]]})
     with pytest.raises(InputError, match="line 2"):
         sequence_from_csv("1.0\nbogus\n")
+
+
+def test_matrix_json_matches_per_element_reference():
+    rng = np.random.default_rng(8)
+    edge = [0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308, 3.0, -7.0, 0.1]
+    m = crandn(rng, 4, 6)
+    m.real.flat[:9] = edge
+    m.imag.flat[:9] = edge[::-1]
+    reference = {"rows": 4, "cols": 6,
+                 "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+    assert json.dumps(matrix_to_obj(m)) == json.dumps(reference)
+
+    obj = json.loads(json.dumps(reference))
+    obj["data"][0] = [1, -2]                    # JSON integers
+    expected = np.array([complex(float(re), float(im)) for re, im in obj["data"]])
+    got = matrix_from_obj(obj)
+    assert got.dtype == complex and got.shape == (4, 6)
+    assert got.tobytes() == expected.reshape(4, 6).tobytes()   # keeps -0.0
 
 
 def test_group_json_and_structure_schemas(tmp_path):
@@ -227,6 +251,64 @@ def test_error_reports(workdir, capsys):
     assert err["code"] == "input-error" and "data" in err["message"]
 
 
+@pytest.mark.parametrize("command, payload, message", [
+    (["svalues", "--matrix", "{file}"], "{not json", "not valid JSON"),
+    (["svalues", "--matrix", "{file}"],
+     {"rows": 1, "cols": 1, "data": [["x", 0]]}, "pair"),
+    (["svalues", "--matrix", "{file}"],
+     {"rows": True, "cols": 1, "data": [[1.0, 0.0]]}, "'rows'"),
+    (["truncate", "--matrix", "{m}", "--flag", "{file}"], "[1, 2", "not valid JSON"),
+    (["mean", "--group", "{file}"], "{", "not valid JSON"),
+    (["mean", "--group", "{file}"],
+     {"order": True, "table": [[0]]}, "'order'"),
+    (["mean", "--group", "{file}"],
+     {"order": 2, "table": [[0, 1], [1, 0.5]]}, "integer element indices"),
+    (["mean", "--group", "{file}"],
+     {"order": 2, "table": [[0, 1], [1]]}, "square"),
+    (["arens", "--group", "z6", "--mu", "{file}", "--nu", "{file}"],
+     "nan", "not valid JSON"),
+    (["arens", "--group", "z6", "--mu", "{file}", "--nu", "{file}"],
+     {"weights": [[1.0, "y"]] * 6}, "pair"),
+    (["norm", "--phi", "kyfan:0", "--matrix", "{m}"], None,
+     "kyfan gauge requires an integer k >= 1"),
+    (["svalues", "--matrix", "{file}"], "[" * 100000, "not valid JSON"),
+    (["truncate", "--matrix", "{m}", "--flag", "{file}"],
+     {"basis": {"rows": 1, "cols": 1, "data": [[1, 0]]}, "dims": ["1"]}, "dims"),
+    (["mean", "--group", "{file}"],
+     {"order": 1, "table": [[0]], "labels": 5}, "labels"),
+    (["dualnorm", "--phi", "schatten:2", "--sequence", "{file}"], b"\xff\xfe",
+     "not a text file"),
+    (["hc", "--matrix", "{m}", "--split", "2"], None, "--split"),
+    (["cartan", "--type", "AIII", "--matrix", "{m}", "--split", "2"], None, "--split"),
+])
+def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, message):
+    bad = workdir / "bad.json"
+    if isinstance(payload, bytes):
+        bad.write_bytes(payload)
+    else:
+        bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    argv = [a.format(file=bad, m=workdir / "m.json") for a in command]
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["code"] == "input-error"
+    assert message in err["message"]
+
+
+def test_structure_loader_rejects_malformed_json(tmp_path):
+    from opideal.serialize import load_structure
+    path = tmp_path / "s.json"
+    path.write_text('{"type": "AIII", "n": 4,')
+    with pytest.raises(InputError, match="not valid JSON"):
+        load_structure(path)
+    path.write_text('{"type": "AIII", "n": false}')
+    with pytest.raises(InputError, match="'n'"):
+        load_structure(path)
+    path.write_text('{"type": "AIII", "n": 4, "split": ["2", 2]}')
+    with pytest.raises(InputError, match="split"):
+        load_structure(path)
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
@@ -264,6 +346,50 @@ def _run_subprocess(args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "opideal", *args],
                           capture_output=True, env=env)
+
+
+_IMPORT_GUARD = r"""
+import sys
+from opideal.cli import build_parser, main
+
+d = sys.argv[1] + "/"
+out = d + "guard-report.json"
+commands = {
+    "svalues": ["--matrix", d + "m.json"],
+    "norm": ["--phi", "kyfan:2", "--matrix", d + "m.json"],
+    "boyd": ["--phi", "schatten:2", "--mmax", "4", "--cap", "8"],
+    "truncate": ["--matrix", d + "m.json", "--flag", d + "flag.json", "--cuts", "2,4"],
+    "integral": ["--matrix", d + "m.json"],
+    "ldl-nest": ["--matrix", d + "a.json"],
+    "qr-nest": ["--matrix", d + "g.json"],
+    "cartan": ["--type", "A", "--matrix", d + "g.json"],
+    "iwasawa": ["--matrix", d + "g.json"],
+    "hc": ["--matrix", d + "g.json", "--split", "2,2", "--z", d + "z.json"],
+    "mean": ["--group", "s3"],
+    "gns": ["--group", "z3"],
+    "arens": ["--group", "s3", "--mu", d + "mu.json", "--nu", d + "nu.json"],
+    "experiment": ["truncation-growth", "--phi", "schatten:1", "--sizes", "2,3",
+                   "--trials", "2"],
+}
+choices = next(a.choices for a in build_parser()._actions if a.choices)
+assert set(choices) == set(commands) | {"dualnorm"}, sorted(choices)
+assert "scipy" not in sys.modules, "import"
+for name, args in commands.items():
+    assert main([name, *args, "--output", out]) == 0, name
+    assert "scipy" not in sys.modules, name
+assert main(["dualnorm", "--phi", "schatten:3", "--sequence", d + "eta.csv",
+             "--output", out]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_dualnorm_imports_scipy(workdir):
+    # scipy costs more to import than the rest of a typical request, so
+    # only the subcommand that runs an optimiser may load it.  One
+    # interpreter runs every subcommand to keep the test cheap.
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(workdir)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_byte_identical_reports(workdir):

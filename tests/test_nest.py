@@ -10,6 +10,8 @@ from opideal import (Flag, InputError, Partition, SymNormFunc,
                      truncation_norm_experiment)
 from opideal.utils import crandn, dagger, frob
 
+from oracles import nest_membership_per_cut
+
 
 def random_flag(rng, n, dims=None):
     q, r = np.linalg.qr(crandn(rng, n, n))
@@ -208,6 +210,38 @@ def test_nest_algebra_predicate():
     assert is_in_nest_algebra(b, block_flag)
     assert not is_in_nest_algebra(np.tril(np.ones((5, 5)), -1) + b,
                                   Flag.standard(5))
+
+
+def test_nest_algebra_matches_per_cut_oracle():
+    rng = np.random.default_rng(23)
+    n = 8
+    flags = [Flag.standard(n), random_flag(rng, n),
+             Flag.standard(n, dims=[3, 5, 8]), random_flag(rng, n, dims=[2, 6, 8])]
+    for flag in flags:
+        for tol in (1e-12, 1e-9):
+            for _ in range(5):
+                upper = triangular_integral(flag, crandn(rng, n, n))[2] \
+                    + np.diag(rng.uniform(1, 2, n))
+                lower = triangular_integral(flag, crandn(rng, n, n))[0]
+                for eps in (0.0, 1e-15, 1e-11, 1e-6, 1e-2):
+                    for b in (upper + eps * lower, lower + eps * upper,
+                              upper + eps * crandn(rng, n, n)):
+                        assert is_in_nest_algebra(b, flag, tol) == \
+                            nest_membership_per_cut(b, flag, tol)
+
+
+def test_nest_algebra_checks_cuts_when_frobenius_bound_is_loose():
+    # Every per-cut residual is 0.8 tol while the whole lower part has
+    # Frobenius norm above tol, so only the cut-by-cut test can accept.
+    tol, n = 1e-9, 8
+    rng = np.random.default_rng(5)
+    for flag in (Flag.standard(n), random_flag(rng, n)):
+        y = np.triu(np.ones((n, n))) + 0.2 * tol * np.tril(np.ones((n, n)), -1)
+        b = flag.basis @ y @ dagger(flag.basis)
+        assert frob(truncate_lower(Partition.maximal(flag), b)) > tol
+        assert is_in_nest_algebra(b, flag, tol)
+        assert nest_membership_per_cut(b, flag, tol)
+        assert not is_in_nest_algebra(b, flag, 0.5 * tol)
 
 
 def test_experiment_contracts_for_frobenius_gauge():
