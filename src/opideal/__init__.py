@@ -5,10 +5,11 @@ decompositions, and finite-group invariant means."""
 from .amenable import (FiniteGroup, Functional, GroupFunction, UnitaryRep,
                        arens_product, cyclic_group, delta_functional,
                        dihedral_group, gns_regular, integrate_rep,
-                       invariant_means, is_mean, left_regular_rep,
-                       quaternion_group, sigma, sigma_dual, symmetric_group,
-                       translate_left, translate_right, trivial_group,
-                       triviality_test, uniform_mean)
+                       invariance_residual, invariant_means, is_mean,
+                       left_regular_rep, quaternion_group, regular_character,
+                       sigma, sigma_dual, symmetric_group, translate_left,
+                       translate_right, trivial_group, triviality_test,
+                       uniform_mean)
 from .classical import (CLASSICAL_TYPES, CartanFactors, IwasawaFactors,
                         StructureData, algebra_membership, algebra_project,
                         cartan_decompose, cartan_involution,

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .utils import as_matrix, dagger, frob
 
 __all__ = [
@@ -29,17 +29,18 @@ __all__ = [
     "dihedral_group",
     "quaternion_group",
     "symmetric_group",
-    "group_from_table",
     "delta_functional",
     "uniform_mean",
     "is_mean",
     "translate_left",
     "translate_right",
     "invariant_means",
+    "invariance_residual",
     "arens_product",
     "sigma",
     "sigma_dual",
     "left_regular_rep",
+    "regular_character",
     "integrate_rep",
     "gns_regular",
     "triviality_test",
@@ -108,10 +109,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
         return f"FiniteGroup({label})"
-
-
-def group_from_table(table, labels=None, name: str = "") -> FiniteGroup:
-    return FiniteGroup(table, labels=labels, name=name)
 
 
 def trivial_group() -> FiniteGroup:
@@ -262,33 +259,23 @@ def translate_right(x: int, psi: GroupFunction) -> GroupFunction:
     return GroupFunction(psi.group, psi.values[psi.group.table[:, x]])
 
 
-def invariant_means(group: FiniteGroup, tol: float = 1e-10) -> list[Functional]:
+def invariant_means(group: FiniteGroup) -> list[Functional]:
     """All left-invariant means on the group: for finite groups exactly the
-    uniform weights, certified by the rank of the invariance system.
+    uniform weights.
 
-    The invariance constraints in weight coordinates say the weights are
-    fixed by every left-multiplication permutation; the null space of the
-    stacked system is certified one-dimensional and spanned by the
-    constant vector, so the unique normalised solution is returned
-    exactly.
+    Invariance says the weights are fixed by every left-multiplication
+    permutation.  Left multiplication is transitive (y = (y x^{-1}) x), so
+    a fixed weight vector is constant, and the unique normalised one is
+    the uniform mean.  The group axioms this rests on are verified when
+    the group is constructed.
     """
-    n = group.order
-    if n == 1:
-        return [Functional(group, np.ones(1, dtype=complex))]
-    eye = np.eye(n)
-    rows = []
-    for x in range(n):
-        if x == group.identity:
-            continue
-        perm = eye[group.table[group.inverse[x]]]    # (P_x w)_u = w_{x^{-1} u}
-        rows.append(perm - eye)
-    system = np.vstack(rows)
-    s = np.linalg.svd(system, compute_uv=False)
-    nullity = int(np.sum(s <= tol * max(s[0], 1.0)))
-    if nullity != 1:
-        raise DomainError(
-            f"invariance system has null space of dimension {nullity}, expected 1")
     return [uniform_mean(group)]
+
+
+def invariance_residual(group: FiniteGroup, w: np.ndarray) -> float:
+    """Largest change of the weights under a left translation:
+    max over x, u of |w[x u] - w[u]|."""
+    return float(np.abs(w[group.table] - w).max())
 
 
 def arens_product(mu: Functional, nu: Functional) -> Functional:
@@ -368,6 +355,15 @@ def left_regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep(group, mats)
 
 
+def regular_character(group: FiniteGroup) -> np.ndarray:
+    """Character of the left regular representation, written down exactly:
+    a left translation fixes a point only when it is the identity, so the
+    trace is the group order there and zero elsewhere."""
+    char = np.zeros(group.order)
+    char[group.identity] = group.order
+    return char
+
+
 def integrate_rep(rep: UnitaryRep, mu: Functional) -> np.ndarray:
     """The functional integrated against the representation: sum of
     weights(x) times the matrix of x.  Multiplicative for the induced
@@ -387,11 +383,12 @@ def _quotient_rep(group: FiniteGroup, weights: np.ndarray):
     delta basis under the form (psi, chi) -> sum w psi conj(chi).
     """
     n = group.order
+    # The Gram matrix of the delta basis is diagonal: its eigenvectors are
+    # the deltas and its eigenvalues the weights.
     gram = np.diag(weights.astype(complex))
-    lam, vecs = np.linalg.eigh((gram + dagger(gram)) / 2.0)
-    keep = lam > 1e-12 * max(float(lam.max()), 0.0)
+    keep = weights > 1e-12 * max(float(weights.max()), 0.0)
     rank = int(np.count_nonzero(keep))
-    basis = vecs[:, keep] / np.sqrt(lam[keep])
+    basis = np.eye(n, dtype=complex)[:, keep] / np.sqrt(weights[keep])
     mats = []
     for x in range(n):
         perm = np.zeros((n, n), dtype=complex)
@@ -414,9 +411,7 @@ def gns_regular(group: FiniteGroup, mu: Functional,
     if not is_mean(mu, tol=tol):
         raise InputError("functional is not a mean (weights must be a probability)")
     w = mu.weights.real
-    residual = 0.0
-    for x in range(group.order):
-        residual = max(residual, float(np.abs(w[group.table[group.inverse[x]]] - w).max()))
+    residual = invariance_residual(group, w)
     if residual > tol:
         raise InputError(f"mean is not left invariant (residual {residual:.2e})")
     mats, _ = _quotient_rep(group, w)

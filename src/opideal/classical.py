@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .factor import qb_nest
 from .nest import Flag, triangular_integral
-from .utils import as_matrix, cond2, crandn, dagger, frob, opnorm
+from .utils import COND_LIMIT, as_matrix, cond2, crandn, dagger, frob, opnorm
 
 __all__ = [
     "CLASSICAL_TYPES",
@@ -257,7 +257,7 @@ def group_membership(g, typ: str, structure: StructureData | None = None,
     g = as_matrix(g, square=True)
     structure = _resolve(typ, g, structure)
     c2 = cond2(g)
-    if not np.isfinite(c2) or c2 > 1e12:
+    if not np.isfinite(c2) or c2 > COND_LIMIT:
         return False
     rootn = np.sqrt(g.shape[0])
     for name, c in _relations(typ, structure):
@@ -354,7 +354,7 @@ def cartan_involution(g) -> np.ndarray:
     """The involution g -> (g*)^{-1}; fixes exactly the unitaries."""
     g = as_matrix(g, square=True)
     c = cond2(g)
-    if not np.isfinite(c) or c > 1e12:
+    if not np.isfinite(c) or c > COND_LIMIT:
         raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
     return dagger(np.linalg.inv(g))
 
@@ -408,17 +408,13 @@ def iwasawa_decompose(g, x0=None) -> IwasawaFactors:
         raise InputError(f"x0 dimension {x0.shape[0]} does not match g ({dim})")
     flag = regular_eigenflag(x0)
     qb = qb_nest(g, flag)
-    w = flag.basis
-    bt = dagger(w) @ qb.b @ w if not flag.is_standard else qb.b
+    bt = flag.to_adapted(qb.b)
     diag = np.real(np.diag(bt)).copy()
     at = np.diag(diag.astype(complex))
     nt = np.linalg.solve(at, bt)
     np.fill_diagonal(nt, 1.0)
-    if flag.is_standard:
-        a, nn = at, nt
-    else:
-        a, nn = w @ at @ dagger(w), w @ nt @ dagger(w)
-    return IwasawaFactors(k=qb.u, a=a, n=nn, x0=x0)
+    return IwasawaFactors(k=qb.u, a=flag.from_adapted(at),
+                          n=flag.from_adapted(nt), x0=x0)
 
 
 def iwasawa_algebra_split(x, x0=None):

@@ -244,17 +244,12 @@ def _cmd_mean(args):
     group = serialize.resolve_group(args.group)
     means = amenable.invariant_means(group)
     mu = means[0]
-    w = mu.weights.real
-    residual = 0.0
-    for x in range(group.order):
-        residual = max(residual, float(
-            np.abs(w[group.table[group.inverse[x]]] - w).max()))
     return {
         "group": group.name or args.group,
         "order": group.order,
-        "weights": [[float(c.real), float(c.imag)] for c in mu.weights],
+        "weights": serialize.complex_to_pairs(mu.weights),
         "unique": len(means) == 1,
-        "invariance_residual": residual,
+        "invariance_residual": amenable.invariance_residual(group, mu.weights.real),
     }
 
 
@@ -263,11 +258,11 @@ def _cmd_gns(args):
     mu = amenable.uniform_mean(group)
     rep = amenable.gns_regular(group, mu)
     char = rep.character()
-    regular = amenable.left_regular_rep(group).character()
+    regular = amenable.regular_character(group)
     return {
         "group": group.name or args.group,
         "dim": rep.dim,
-        "character": [[float(c.real), float(c.imag)] for c in char],
+        "character": serialize.complex_to_pairs(char),
         "matches_regular_character": bool(np.allclose(char, regular, atol=1e-9)),
     }
 
@@ -279,7 +274,7 @@ def _cmd_arens(args):
     prod = amenable.arens_product(mu, nu)
     return {
         "group": group.name or args.group,
-        "weights": [[float(c.real), float(c.imag)] for c in prod.weights],
+        "weights": serialize.complex_to_pairs(prod.weights),
     }
 
 
@@ -289,7 +284,7 @@ def _cmd_experiment(args):
     phi = symfunc.SymNormFunc.parse(args.phi)
     sizes = _parse_ints(args.sizes, "--sizes")
     rows = nest.truncation_norm_experiment(
-        phi, sizes, args.trials, _resolve_seed(args.seed), jobs=args.jobs)
+        phi, sizes, args.trials, _resolve_seed(args.seed))
     if args.format == "json":
         return {"phi": str(phi), "trials": args.trials,
                 "rows": [{"n": n, "ratio": r} for n, r in rows]}
@@ -379,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default=None, help="upper-right coordinate JSON")
 
     p = add("mean", _cmd_mean,
-            "The left-invariant mean of a finite group with a uniqueness "
-            "certificate from the invariance system's rank.")
+            "The left-invariant mean of a finite group: the uniform weights, "
+            "unique because left multiplication is transitive.")
     p.add_argument("--group", required=True, help="z<n>, d<n>, s3, s4, q8, trivial, or JSON path")
 
     p = add("gns", _cmd_gns,
@@ -403,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma list of dimensions")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser

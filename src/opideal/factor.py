@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .nest import Flag, Partition, truncate_upper
-from .utils import as_matrix, cond2, dagger, frob, opnorm
+from .utils import COND_LIMIT, as_matrix, cond2, dagger, frob, opnorm
 
 __all__ = ["LdlFactors", "QbFactors", "ldl_nest", "qb_nest", "nilpotency_check"]
 
 PD_THRESHOLD = 1e-10       # relative floor on the smallest eigenvalue
-COND_LIMIT = 1e12          # invertibility threshold for qb_nest
 _HERM_TOL = 1e-10
 
 
@@ -41,14 +40,6 @@ class QbFactors:
 
     u: np.ndarray
     b: np.ndarray
-
-
-def _rotate_in(flag: Flag, x: np.ndarray) -> np.ndarray:
-    return x if flag.is_standard else dagger(flag.basis) @ x @ flag.basis
-
-
-def _rotate_out(flag: Flag, x: np.ndarray) -> np.ndarray:
-    return x if flag.is_standard else flag.basis @ x @ dagger(flag.basis)
 
 
 def _check_positive(a: np.ndarray, name: str) -> None:
@@ -102,9 +93,9 @@ def ldl_nest(a, partition: Partition) -> LdlFactors:
     if a.shape[0] != flag.n:
         raise InputError(f"matrix dimension {a.shape[0]} does not match flag n={flag.n}")
     _check_positive(a, "a")
-    y = _rotate_in(flag, a)
+    y = flag.to_adapted(a)
     r, d = _trailing_elimination(y, partition.bounds)
-    return LdlFactors(r=_rotate_out(flag, r), d=_rotate_out(flag, d))
+    return LdlFactors(r=flag.from_adapted(r), d=flag.from_adapted(d))
 
 
 def qb_nest(g, flag: Flag) -> QbFactors:
@@ -124,12 +115,12 @@ def qb_nest(g, flag: Flag) -> QbFactors:
     if not np.isfinite(c) or c > COND_LIMIT:
         raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
     bounds = Partition.maximal(flag).bounds
-    y = _rotate_in(flag, g)
+    y = flag.to_adapted(g)
     q, r = np.linalg.qr(y)
     w = _block_polar_phases(r, bounds)
     b = w @ r
     u = q @ dagger(w)
-    return QbFactors(u=_rotate_out(flag, u), b=_rotate_out(flag, b))
+    return QbFactors(u=flag.from_adapted(u), b=flag.from_adapted(b))
 
 
 def nilpotency_check(r, partition: Partition) -> int:

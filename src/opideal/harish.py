@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .utils import as_matrix, cond2
+from .utils import COND_LIMIT, as_matrix, cond2
 
 __all__ = [
     "BlockSplit",
@@ -31,8 +31,6 @@ __all__ = [
     "hc_cocycle",
     "hc_domain_test",
 ]
-
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)

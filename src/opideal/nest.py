@@ -62,6 +62,14 @@ class Flag:
             dims = range(1, n + 1)
         return cls(np.eye(n, dtype=complex), dims)
 
+    def to_adapted(self, x: np.ndarray) -> np.ndarray:
+        """x in the adapted basis, W* x W; x itself for the standard flag."""
+        return x if self.is_standard else dagger(self.basis) @ x @ self.basis
+
+    def from_adapted(self, y: np.ndarray) -> np.ndarray:
+        """y back from the adapted basis, W y W*; y itself for the standard flag."""
+        return y if self.is_standard else self.basis @ y @ dagger(self.basis)
+
     def __repr__(self) -> str:
         return f"Flag(n={self.n}, dims={self.dims}, standard={self.is_standard})"
 
@@ -137,10 +145,7 @@ def _truncate(partition: Partition, x, cmp: str) -> np.ndarray:
         mask = idx[:, None] < idx[None, :]
     else:
         mask = idx[:, None] > idx[None, :]
-    if flag.is_standard:
-        return np.where(mask, x, 0.0)
-    y = dagger(flag.basis) @ x @ flag.basis
-    return flag.basis @ np.where(mask, y, 0.0) @ dagger(flag.basis)
+    return flag.from_adapted(np.where(mask, flag.to_adapted(x), 0.0))
 
 
 def truncate_diag(partition: Partition, x) -> np.ndarray:
@@ -197,7 +202,7 @@ def is_in_nest_algebra(b, flag: Flag, tol: float = 1e-12) -> bool:
     b = as_matrix(b, square=True)
     if b.shape[0] != flag.n:
         raise InputError(f"matrix dimension {b.shape[0]} does not match flag n={flag.n}")
-    y = b if flag.is_standard else dagger(flag.basis) @ b @ flag.basis
+    y = flag.to_adapted(b)
     idx = _block_index(Partition.maximal(flag))
     if frob(np.where(idx[:, None] > idx[None, :], y, 0.0)) <= tol:
         return True
@@ -229,12 +234,11 @@ def _trial_ratio(phi: SymNormFunc, part: Partition, n: int, seed: int,
 
 
 def truncation_norm_experiment(phi: SymNormFunc, n_list, trials: int,
-                               seed: int, jobs: int = 1):
+                               seed: int):
     """Measured max of ||upper(X)|| / ||X|| over seeded samples, per size.
 
-    Each trial's generator is derived from (seed, n, trial) and the trial
-    maximum is order-independent, so the result does not depend on
-    scheduling; jobs > 1 runs trials in a thread pool.
+    Each trial's generator is derived from (seed, n, trial), so the result
+    is reproducible.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -242,23 +246,8 @@ def truncation_norm_experiment(phi: SymNormFunc, n_list, trials: int,
     if any(n < 1 for n in sizes):
         raise InputError("sizes must be positive")
     rows = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=jobs)
-    else:
-        pool = None
-    try:
-        for n in sizes:
-            part = Partition.maximal(Flag.standard(n))
-            if pool is not None:
-                ratios = pool.map(
-                    lambda t, n=n, part=part: _trial_ratio(phi, part, n, seed, t),
-                    range(trials))
-                rows.append((n, max(ratios)))
-            else:
-                rows.append((n, max(_trial_ratio(phi, part, n, seed, t)
-                                    for t in range(trials))))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n in sizes:
+        part = Partition.maximal(Flag.standard(n))
+        rows.append((n, max(_trial_ratio(phi, part, n, seed, t)
+                            for t in range(trials))))
     return rows

@@ -21,6 +21,7 @@ from .symfunc import NonincreasingSequence
 from .utils import as_matrix
 
 __all__ = [
+    "complex_to_pairs",
     "matrix_to_obj", "matrix_from_obj", "save_matrix", "load_matrix",
     "flag_to_obj", "flag_from_obj", "save_flag", "load_flag",
     "sequence_to_csv", "sequence_from_csv", "save_sequence", "load_sequence",
@@ -64,10 +65,17 @@ def _complex_pairs(data: list, field: str) -> np.ndarray:
     return pairs.view(complex).ravel()
 
 
+def complex_to_pairs(values) -> list:
+    """A complex array, flattened, as a list of [re, im] pairs; the
+    counterpart of ``_complex_pairs``."""
+    v = np.ravel(values)
+    return np.stack([v.real, v.imag], axis=1).tolist()
+
+
 def matrix_to_obj(m) -> dict:
     m = as_matrix(m)
-    data = np.stack([m.real.ravel(), m.imag.ravel()], axis=1).tolist()
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+            "data": complex_to_pairs(m)}
 
 
 def matrix_from_obj(obj) -> np.ndarray:

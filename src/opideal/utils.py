@@ -35,6 +35,9 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+COND_LIMIT = 1e12          # condition number above which a matrix counts as singular
+
+
 def cond2(a) -> float:
     """2-norm condition number; inf for numerically singular input."""
     s = np.linalg.svd(a, compute_uv=False)

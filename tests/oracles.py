@@ -57,6 +57,18 @@ def nest_membership_per_cut(b, flag, tol):
     return True
 
 
+def invariance_nullity(group, tol):
+    """Dimension of the weight vectors fixed by every left translation,
+    (P_x w)_u = w_{x^{-1} u}, from the singular values of the stacked
+    system P_x - 1 with the rank clipped at tol relative to the largest."""
+    n = group.order
+    eye = np.eye(n)
+    system = np.vstack([eye[group.table[group.inverse[x]]] - eye
+                        for x in range(n)])
+    s = np.linalg.svd(system, compute_uv=False)
+    return int(np.sum(s <= tol * max(s[0], 1.0)))
+
+
 def positive_qr(g):
     """Library QR rephased so the diagonal of r is positive."""
     q, r = np.linalg.qr(g)

@@ -6,13 +6,14 @@ import pytest
 from opideal import (FiniteGroup, Functional, GroupFunction, InputError,
                      UnitaryRep, arens_product, cyclic_group, delta_functional,
                      dihedral_group, gns_regular, integrate_rep,
-                     invariant_means, is_mean, left_regular_rep,
-                     quaternion_group, sigma, sigma_dual, symmetric_group,
+                     invariance_residual, invariant_means, is_mean,
+                     left_regular_rep, quaternion_group, regular_character,
+                     sigma, sigma_dual, symmetric_group,
                      translate_left, translate_right, trivial_group,
                      triviality_test, uniform_mean)
 from opideal.amenable import _quotient_rep
 from opideal.utils import dagger, frob
-from oracles import s3_irreps
+from oracles import invariance_nullity, s3_irreps
 
 
 def test_group_constructors():
@@ -110,6 +111,56 @@ def test_invariant_means_examples():
     assert is_mean(mu)
 
     assert np.allclose(invariant_means(trivial_group())[0].weights, [1.0])
+
+
+def _relabelled_s3():
+    # the same group under a scrambled element numbering, so the identity
+    # is not element 0 and the table is not sorted
+    table = symmetric_group(3).table
+    perm = np.array([3, 5, 0, 4, 2, 1])
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    return FiniteGroup(relabelled)
+
+
+CERTIFIED_GROUPS = [
+    pytest.param(lambda: cyclic_group(1), id="z1"),
+    pytest.param(lambda: cyclic_group(2), id="z2"),
+    pytest.param(lambda: cyclic_group(6), id="z6"),
+    pytest.param(lambda: dihedral_group(5), id="d5"),
+    pytest.param(lambda: symmetric_group(3), id="s3"),
+    pytest.param(lambda: symmetric_group(4), id="s4"),
+    pytest.param(quaternion_group, id="q8"),
+    pytest.param(_relabelled_s3, id="relabelled-s3"),
+]
+
+
+@pytest.mark.parametrize("make_group", CERTIFIED_GROUPS)
+def test_exact_mean_certificate_matches_numeric_rank(make_group):
+    # transitivity of left multiplication, the exact certificate, against
+    # the rank of the invariance system and a least-squares solve
+    group = make_group()
+    assert invariance_nullity(group, 1e-10) == 1
+    means = invariant_means(group)
+    assert len(means) == 1
+    assert np.allclose(means[0].weights.real, _invariance_lstsq_oracle(group),
+                       atol=1e-10)
+    assert invariance_residual(group, means[0].weights.real) == 0.0
+
+
+@pytest.mark.parametrize("make_group", CERTIFIED_GROUPS)
+def test_exact_regular_character_matches_permutation_traces(make_group):
+    group = make_group()
+    assert np.array_equal(regular_character(group),
+                          left_regular_rep(group).character())
+
+
+def test_invariance_residual_matches_translation_loop():
+    group = dihedral_group(4)
+    w = np.random.default_rng(9).standard_normal(8)
+    loop = max(float(np.abs(w[group.table[group.inverse[x]]] - w).max())
+               for x in range(group.order))
+    assert invariance_residual(group, w) == loop > 0.0
 
 
 def test_mean_invariance_exact():

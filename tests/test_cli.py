@@ -10,7 +10,7 @@ import pytest
 from opideal.cli import main
 from opideal.serialize import (load_matrix, matrix_from_obj, matrix_to_obj,
                                save_flag, save_matrix, sequence_from_csv)
-from opideal import Flag, InputError
+from opideal import Flag, InputError, amenable, symmetric_group
 from opideal.utils import crandn
 
 
@@ -221,6 +221,37 @@ def test_mean_gns_arens(workdir, capsys):
     assert rep["weights"][1][0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("group", ["trivial", "z6", "d5", "s4", "q8", "{file}"])
+def test_mean_and_gns_build_no_second_representation(workdir, capsys, monkeypatch,
+                                                      group):
+    # The group axioms certify the uniform mean and the regular character,
+    # so neither subcommand may build the left regular representation; gns
+    # builds exactly one representation, the Gram quotient.
+    if group == "{file}":
+        group = str(workdir / "s3.json")
+        table = symmetric_group(3).table.tolist()
+        (workdir / "s3.json").write_text(json.dumps({"order": 6, "table": table}))
+
+    def refuse(_group):
+        raise AssertionError("left_regular_rep called")
+
+    built = []
+
+    class CountingRep(amenable.UnitaryRep):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(amenable, "left_regular_rep", refuse)
+    monkeypatch.setattr(amenable, "UnitaryRep", CountingRep)
+    code, out = run_cli(["mean", "--group", group], capsys)
+    assert code == 0 and json.loads(out)["unique"] is True
+    assert built == []
+    code, out = run_cli(["gns", "--group", group], capsys)
+    assert code == 0 and json.loads(out)["matches_regular_character"] is True
+    assert built == [1]
+
+
 def test_experiment_csv(workdir, capsys):
     code, out = run_cli(["experiment", "truncation-growth", "--phi", "schatten:1",
                          "--sizes", "2,4", "--trials", "5", "--seed", "7"], capsys)
@@ -228,10 +259,6 @@ def test_experiment_csv(workdir, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,ratio"
     assert len(lines) == 3
-    code, out2 = run_cli(["experiment", "truncation-growth", "--phi", "schatten:1",
-                          "--sizes", "2,4", "--trials", "5", "--seed", "7",
-                          "--jobs", "2"], capsys)
-    assert code == 0 and out2.strip().splitlines() == lines
     code, out = run_cli(["experiment", "bogus", "--phi", "schatten:1",
                          "--sizes", "2", "--trials", "1"], capsys)
     assert code == 1

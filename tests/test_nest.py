@@ -29,6 +29,27 @@ def test_flag_validation():
         Flag(np.eye(3), [2, 1, 3])
 
 
+def test_adapted_basis_round_trip():
+    rng = np.random.default_rng(41)
+    flag = random_flag(rng, 5, dims=[2, 5])
+    x = crandn(rng, 5, 5)
+    y = flag.to_adapted(x)
+    # entry (i, j) is the pairing of the i-th and j-th adapted directions
+    w = flag.basis
+    pairing = np.array([[np.vdot(w[:, i], x @ w[:, j]) for j in range(5)]
+                        for i in range(5)])
+    assert np.allclose(y, pairing, atol=1e-12)
+    assert np.allclose(flag.from_adapted(y), x, atol=1e-12)
+    assert np.allclose(flag.to_adapted(flag.from_adapted(x)), x, atol=1e-12)
+
+
+def test_adapted_basis_is_identity_on_standard_flag():
+    x = crandn(np.random.default_rng(42), 4, 4)
+    flag = Flag.standard(4)
+    assert flag.to_adapted(x) is x
+    assert flag.from_adapted(x) is x
+
+
 def test_partition_validation():
     flag = Flag.standard(5, dims=[2, 4, 5])
     Partition(flag, [2, 5])
@@ -259,11 +280,10 @@ def test_experiment_trace_gauge_trend_is_monotone():
     assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_experiment_deterministic_and_parallel_consistent():
+def test_experiment_deterministic():
     phi = SymNormFunc.schatten(1)
     a = truncation_norm_experiment(phi, [4, 8], trials=9, seed=5)
     b = truncation_norm_experiment(phi, [4, 8], trials=9, seed=5)
-    c = truncation_norm_experiment(phi, [4, 8], trials=9, seed=5, jobs=2)
-    assert a == b == c
+    assert a == b
     with pytest.raises(InputError):
         truncation_norm_experiment(phi, [4], trials=0, seed=5)
