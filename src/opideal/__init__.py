@@ -26,10 +26,9 @@ from .nest import (Flag, Partition, is_in_nest_algebra, project,
                    refinement_identities_check, triangular_integral,
                    truncate_diag, truncate_lower, truncate_upper,
                    truncation_norm_experiment)
-from .symfunc import (BoydEstimate, DualNormOptions, DualNormResult,
-                      NonincreasingSequence, SymNormFunc, adjoint_phi_eval,
-                      boyd_estimate, contract, contraction_norm, dilate,
-                      dilation_norm, dual_gauge, phi_eval, phi_norm,
-                      singular_values)
+from .symfunc import (BoydEstimate, DualNormResult, NonincreasingSequence,
+                      SymNormFunc, adjoint_phi_eval, boyd_estimate, contract,
+                      contraction_norm, dilate, dilation_norm, dual_gauge,
+                      phi_eval, phi_norm, singular_values)
 
 __version__ = "0.1.0"

@@ -17,10 +17,12 @@ import itertools
 import numpy as np
 
 from .errors import InputError
-from .utils import as_matrix, dagger, frob
+from .utils import (GNS_TOL, GRAM_CLIP, MAX_GROUP_ORDER, ZERO_TOL,
+                    as_matrix, dagger, frob, is_unitary, unitary_bound)
 
 __all__ = [
     "FiniteGroup",
+    "check_group_order",
     "GroupFunction",
     "Functional",
     "UnitaryRep",
@@ -45,8 +47,6 @@ __all__ = [
     "gns_regular",
     "triviality_test",
 ]
-
-_REP_TOL = 1e-12
 
 
 class FiniteGroup:
@@ -80,8 +80,8 @@ class FiniteGroup:
         if len(ident) != 1:
             raise InputError("cayley table has no two-sided identity")
         e = ident[0]
-        # associativity: t[t[i,j],k] == t[i,t[j,k]] for all triples
-        if not np.array_equal(t[t, :], t[:, t]):
+        # associativity t[t[i,j],k] == t[i,t[j,k]], one i at a time: O(n^2) memory
+        if not all(np.array_equal(t[t[i]], t[i][t]) for i in range(n)):
             raise InputError("cayley table is not associative")
         inverse = np.full(n, -1, dtype=int)
         for i in range(n):
@@ -111,6 +111,12 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
+def check_group_order(order: int) -> None:
+    """Refuse an order above MAX_GROUP_ORDER before anything that size is built."""
+    if order > MAX_GROUP_ORDER:
+        raise InputError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
+
+
 def trivial_group() -> FiniteGroup:
     return FiniteGroup([[0]], labels=["e"], name="trivial")
 
@@ -118,6 +124,7 @@ def trivial_group() -> FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("cyclic group needs n >= 1")
+    check_group_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, labels=[str(i) for i in range(n)], name=f"z{n}")
@@ -127,6 +134,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; elements (rotation, flip)."""
     if n < 1:
         raise InputError("dihedral group needs n >= 1")
+    check_group_order(2 * n)
     elems = [(a, b) for b in (0, 1) for a in range(n)]
     index = {el: i for i, el in enumerate(elems)}
 
@@ -231,7 +239,7 @@ def uniform_mean(group: FiniteGroup) -> Functional:
     return Functional(group, np.full(group.order, 1.0 / group.order, dtype=complex))
 
 
-def is_mean(mu: Functional, tol: float = 1e-12) -> bool:
+def is_mean(mu: Functional, tol: float = ZERO_TOL) -> bool:
     """Nonnegative real weights summing to one."""
     w = mu.weights
     if np.abs(w.imag).max(initial=0.0) > tol:
@@ -311,7 +319,7 @@ class UnitaryRep:
 
     __slots__ = ("group", "matrices", "dim")
 
-    def __init__(self, group: FiniteGroup, matrices, tol: float = _REP_TOL):
+    def __init__(self, group: FiniteGroup, matrices):
         mats = [as_matrix(m, square=True, name="representation matrix")
                 for m in matrices]
         if len(mats) != group.order:
@@ -319,12 +327,11 @@ class UnitaryRep:
         d = mats[0].shape[0]
         if any(m.shape[0] != d for m in mats):
             raise InputError("representation matrices must share one dimension")
-        eye = np.eye(d)
-        scale = tol * max(1.0, np.sqrt(d))
-        if frob(mats[group.identity] - eye) > scale:
+        scale = unitary_bound(d)
+        if frob(mats[group.identity] - np.eye(d)) > scale:
             raise InputError("identity element must map to the identity matrix")
         for i, m in enumerate(mats):
-            if frob(dagger(m) @ m - eye) > scale:
+            if not is_unitary(m):
                 raise InputError(f"matrix for element {i} is not unitary")
         for i in range(group.order):
             for j in range(group.order):
@@ -386,7 +393,7 @@ def _quotient_rep(group: FiniteGroup, weights: np.ndarray):
     # The Gram matrix of the delta basis is diagonal: its eigenvectors are
     # the deltas and its eigenvalues the weights.
     gram = np.diag(weights.astype(complex))
-    keep = weights > 1e-12 * max(float(weights.max()), 0.0)
+    keep = weights > GRAM_CLIP * max(float(weights.max()), 0.0)
     rank = int(np.count_nonzero(keep))
     basis = np.eye(n, dtype=complex)[:, keep] / np.sqrt(weights[keep])
     mats = []
@@ -397,8 +404,7 @@ def _quotient_rep(group: FiniteGroup, weights: np.ndarray):
     return mats, rank
 
 
-def gns_regular(group: FiniteGroup, mu: Functional,
-                tol: float = 1e-10) -> UnitaryRep:
+def gns_regular(group: FiniteGroup, mu: Functional) -> UnitaryRep:
     """Regular representation attached to an invariant mean.
 
     The Hilbert space is the Gram quotient of the functions under
@@ -408,29 +414,22 @@ def gns_regular(group: FiniteGroup, mu: Functional,
     """
     if not _same_group(mu.group, group):
         raise InputError("mean lives on a different group")
-    if not is_mean(mu, tol=tol):
+    if not is_mean(mu, tol=GNS_TOL):
         raise InputError("functional is not a mean (weights must be a probability)")
     w = mu.weights.real
     residual = invariance_residual(group, w)
-    if residual > tol:
+    if residual > GNS_TOL:
         raise InputError(f"mean is not left invariant (residual {residual:.2e})")
     mats, _ = _quotient_rep(group, w)
     return UnitaryRep(group, mats)
 
 
-def triviality_test(group: FiniteGroup, mu: Functional,
-                    tol: float = 1e-12) -> bool:
+def triviality_test(group: FiniteGroup, mu: Functional) -> bool:
     """Whether the mean's regular representation is trivial: the criterion
     mu(chi psi) = mu(chi L_x psi) over the delta basis and all x."""
     if not _same_group(mu.group, group):
         raise InputError("mean lives on a different group")
-    w = mu.weights
-    n = group.order
-    for x in range(n):
-        # mu(delta_a L_x delta_b) = w_a [x a = b] while mu(delta_a delta_b)
-        # is w_a [a = b]; they agree for all b iff w_a = 0 or x a = a.
-        xa = group.table[x]
-        for a in range(n):
-            if abs(w[a]) > tol and xa[a] != a:
-                return False
-    return True
+    # mu(delta_a L_x delta_b) = w_a [x a = b] while mu(delta_a delta_b) is
+    # w_a [a = b]; they agree for all b iff w_a = 0 or x a = a.
+    support = np.nonzero(np.abs(mu.weights) > ZERO_TOL)[0]
+    return bool(np.all(group.table[:, support] == support))

@@ -26,7 +26,9 @@ import numpy as np
 from .errors import DomainError, InputError
 from .factor import qb_nest
 from .nest import Flag, triangular_integral
-from .utils import COND_LIMIT, as_matrix, cond2, crandn, dagger, frob, opnorm
+from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL,
+                    as_matrix, cond2, crandn, dagger, frob, is_hermitian,
+                    is_singular, is_unitary, opnorm, unitary_bound)
 
 __all__ = [
     "CLASSICAL_TYPES",
@@ -62,7 +64,6 @@ _NEEDS = {
     "CI": ("conj", "anti"),
     "CII": ("anti", "signature"),
 }
-_STRUCT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,7 @@ def default_structure(typ: str, n: int, split=None) -> StructureData:
     return StructureData(n=n, c_conj=c_conj, c_anti=c_anti, v=v, split=split)
 
 
-def validate_structure(typ: str, structure: StructureData,
-                       tol: float = _STRUCT_TOL) -> None:
+def validate_structure(typ: str, structure: StructureData) -> None:
     """Check the structure matrices satisfy the invariants of the type."""
     if typ not in CLASSICAL_TYPES:
         raise InputError(f"unknown classical type {typ!r}")
@@ -136,13 +136,13 @@ def validate_structure(typ: str, structure: StructureData,
         raise InputError(f"type {typ} needs even dimension, got n={n}")
     needs = _NEEDS[typ]
     eye = np.eye(n)
-    scale = tol * max(1.0, np.sqrt(n))
+    scale = unitary_bound(n)
 
     def _unitary(c, name):
         c = as_matrix(c, square=True, name=name)
         if c.shape[0] != n:
             raise InputError(f"{name} has dimension {c.shape[0]}, expected {n}")
-        if frob(dagger(c) @ c - eye) > scale:
+        if not is_unitary(c):
             raise InputError(f"{name} must be unitary")
         return c
 
@@ -215,18 +215,6 @@ def _group_residual(name: str, c: np.ndarray, g: np.ndarray):
     return frob(dagger(g) @ c @ g - c), max(1.0, nrm**2)
 
 
-def _algebra_residual(name: str, c: np.ndarray, x: np.ndarray):
-    nrm = max(1.0, opnorm(x))
-    if name == "orth":       # x = -C x^T conj(C)
-        return frob(x + c @ x.T @ c.conj()), nrm
-    if name == "symp":       # x = +Ca x^T conj(Ca)
-        return frob(x - c @ x.T @ c.conj()), nrm
-    if name in ("real", "quat"):  # x C = C conj(x)
-        return frob(x @ c - c @ x.conj()), nrm
-    # "iu": x* V = -V x
-    return frob(dagger(x) @ c + c @ x), nrm
-
-
 def _resolve(typ: str, x: np.ndarray, structure: StructureData | None):
     if structure is None:
         structure = default_structure(typ, x.shape[0])
@@ -238,26 +226,22 @@ def _resolve(typ: str, x: np.ndarray, structure: StructureData | None):
 
 
 def algebra_membership(x, typ: str, structure: StructureData | None = None,
-                       tol: float = 1e-10) -> bool:
-    """Whether x satisfies all Lie algebra relations of the type, within
-    tol scaled by max(1, ||x||) sqrt(n)."""
+                       tol: float = MEMBERSHIP_TOL) -> bool:
+    """Whether x is fixed by every defining involution of the type:
+    ||x - theta(x)||_F within tol scaled by max(1, ||x||) sqrt(n)."""
     x = as_matrix(x, square=True)
     structure = _resolve(typ, x, structure)
     rootn = np.sqrt(x.shape[0])
-    for name, c in _relations(typ, structure):
-        res, scale = _algebra_residual(name, c, x)
-        if res > tol * scale * rootn:
-            return False
-    return True
+    return all(frob(x - theta(x)) <= tol * max(1.0, opnorm(x)) * rootn
+               for theta in _involutions(typ, structure))
 
 
 def group_membership(g, typ: str, structure: StructureData | None = None,
-                     tol: float = 1e-10) -> bool:
+                     tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether g is invertible and satisfies all group relations of the type."""
     g = as_matrix(g, square=True)
     structure = _resolve(typ, g, structure)
-    c2 = cond2(g)
-    if not np.isfinite(c2) or c2 > COND_LIMIT:
+    if is_singular(cond2(g)):
         return False
     rootn = np.sqrt(g.shape[0])
     for name, c in _relations(typ, structure):
@@ -336,14 +320,14 @@ def _eigh_fun(h: np.ndarray, fun) -> np.ndarray:
     return v @ np.diag(fun(w)) @ dagger(v)
 
 
-def cartan_decompose(g, typ: str, structure: StructureData | None = None,
-                     tol: float = 1e-8) -> CartanFactors:
+def cartan_decompose(g, typ: str,
+                     structure: StructureData | None = None) -> CartanFactors:
     """Polar split g = k exp(x) with k unitary in the group and x Hermitian
     in the algebra: x = log(g* g) / 2 via Hermitian eigendecomposition."""
     g = as_matrix(g, square=True)
     structure = _resolve(typ, g, structure)
-    if not group_membership(g, typ, structure, tol=tol):
-        raise DomainError(f"matrix fails the {typ} group relations at tol {tol:g}")
+    if not group_membership(g, typ, structure, tol=CARTAN_TOL):
+        raise DomainError(f"matrix fails the {typ} group relations at tol {CARTAN_TOL:g}")
     a = dagger(g) @ g
     x = _eigh_fun(a, lambda w: 0.5 * np.log(w))
     k = g @ _eigh_fun(a, lambda w: w**-0.5)
@@ -354,28 +338,28 @@ def cartan_involution(g) -> np.ndarray:
     """The involution g -> (g*)^{-1}; fixes exactly the unitaries."""
     g = as_matrix(g, square=True)
     c = cond2(g)
-    if not np.isfinite(c) or c > COND_LIMIT:
+    if is_singular(c):
         raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
     return dagger(np.linalg.inv(g))
 
 
-def regular_eigenflag(x0, gap_tol: float = 1e-8) -> Flag:
+def regular_eigenflag(x0) -> Flag:
     """Maximal flag adapted to a regular Hermitian x0, eigenvalues descending.
 
-    Rejects x0 whose spectrum has a gap below gap_tol (relative to the
-    largest magnitude), naming the colliding eigenvalues.
+    Rejects x0 whose spectrum has a gap below EIGEN_GAP_TOL (relative to
+    the largest magnitude), naming the colliding eigenvalues.
     """
     x0 = as_matrix(x0, square=True, name="x0")
-    if frob(x0 - dagger(x0)) > 1e-10 * max(1.0, frob(x0)):
+    if not is_hermitian(x0):
         raise InputError("x0 must be Hermitian")
     lam, w = np.linalg.eigh((x0 + dagger(x0)) / 2.0)
     lam, w = lam[::-1], w[:, ::-1]
     scale = max(1.0, float(np.abs(lam).max()))
     for i in range(lam.size - 1):
-        if lam[i] - lam[i + 1] <= gap_tol * scale:
+        if lam[i] - lam[i + 1] <= EIGEN_GAP_TOL * scale:
             raise DomainError(
                 f"x0 is not regular: eigenvalues {lam[i]:.6g} and "
-                f"{lam[i + 1]:.6g} collide (gap below {gap_tol:g})")
+                f"{lam[i + 1]:.6g} collide (gap below {EIGEN_GAP_TOL:g})")
     return Flag(w, range(1, lam.size + 1))
 
 
@@ -433,7 +417,7 @@ def iwasawa_algebra_split(x, x0=None):
     return xk, xa, xn
 
 
-def irreducibility_check(generators, tol: float = 1e-9) -> bool:
+def irreducibility_check(generators) -> bool:
     """True iff the adjoint-closed set generated by the matrices has scalar
     commutant, tested by the null space of the stacked commutator system."""
     mats = [as_matrix(m, square=True) for m in generators]
@@ -451,5 +435,5 @@ def irreducibility_check(generators, tol: float = 1e-9) -> bool:
     s = np.linalg.svd(system, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return n * n == 1
-    nullity = int(np.sum(s <= tol * s[0])) + (n * n - s.size)
+    nullity = int(np.sum(s <= NULLITY_TOL * s[0])) + (n * n - s.size)
     return nullity == 1

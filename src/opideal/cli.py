@@ -19,7 +19,7 @@ import numpy as np
 
 from . import amenable, classical, factor, harish, nest, serialize, symfunc
 from .errors import DomainError, InputError
-from .utils import cond2, dagger, frob
+from .utils import CARTAN_TOL, REPORT_TOL, cond2, dagger, frob
 
 DEFAULT_SEED = 1729
 
@@ -87,8 +87,7 @@ def _cmd_norm(args):
 def _cmd_dualnorm(args):
     phi = symfunc.SymNormFunc.parse(args.phi)
     eta = serialize.load_sequence(args.sequence)
-    opts = symfunc.DualNormOptions(seed=_resolve_seed(args.seed))
-    res = symfunc.adjoint_phi_eval(phi, eta, opts)
+    res = symfunc.adjoint_phi_eval(phi, eta, seed=_resolve_seed(args.seed))
     return {"phi": str(phi), "estimate": res.estimate, "closed_form": res.closed_form}
 
 
@@ -173,7 +172,7 @@ def _cmd_qr_nest(args):
         "residuals": {
             "reconstruction": _rel(frob(factors.u @ factors.b - g), frob(g)),
             "unitarity": frob(dagger(factors.u) @ factors.u - eye),
-            "nest_membership": nest.is_in_nest_algebra(factors.b, flag, tol=1e-9),
+            "nest_membership": nest.is_in_nest_algebra(factors.b, flag, tol=REPORT_TOL),
             "condition_number": cond2(g),
         },
     }
@@ -193,8 +192,10 @@ def _cmd_cartan(args):
         "residuals": {
             "reconstruction": _rel(frob(factors.k @ expx - g), frob(g)),
             "k_unitarity": frob(dagger(factors.k) @ factors.k - eye),
-            "k_in_group": classical.group_membership(factors.k, args.type, structure, tol=1e-8),
-            "x_in_algebra": classical.algebra_membership(factors.x, args.type, structure, tol=1e-8),
+            "k_in_group": classical.group_membership(
+                factors.k, args.type, structure, tol=CARTAN_TOL),
+            "x_in_algebra": classical.algebra_membership(
+                factors.x, args.type, structure, tol=CARTAN_TOL),
             "x_hermitian": frob(factors.x - dagger(factors.x)),
         },
     }
@@ -263,7 +264,7 @@ def _cmd_gns(args):
         "group": group.name or args.group,
         "dim": rep.dim,
         "character": serialize.complex_to_pairs(char),
-        "matches_regular_character": bool(np.allclose(char, regular, atol=1e-9)),
+        "matches_regular_character": bool(np.allclose(char, regular, atol=REPORT_TOL)),
     }
 
 

@@ -18,12 +18,10 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .nest import Flag, Partition, truncate_upper
-from .utils import COND_LIMIT, as_matrix, cond2, dagger, frob, opnorm
+from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, cond2, dagger, frob,
+                    is_hermitian, is_singular, opnorm)
 
 __all__ = ["LdlFactors", "QbFactors", "ldl_nest", "qb_nest", "nilpotency_check"]
-
-PD_THRESHOLD = 1e-10       # relative floor on the smallest eigenvalue
-_HERM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,9 +41,8 @@ class QbFactors:
 
 
 def _check_positive(a: np.ndarray, name: str) -> None:
-    h = frob(a - dagger(a))
-    if h > _HERM_TOL * max(1.0, frob(a)):
-        raise InputError(f"{name} is not Hermitian (asymmetry {h:.2e})")
+    if not is_hermitian(a):
+        raise InputError(f"{name} is not Hermitian (asymmetry {frob(a - dagger(a)):.2e})")
     w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
     if w[0] <= PD_THRESHOLD * max(w[-1], 0.0):
         raise DomainError(
@@ -112,7 +109,7 @@ def qb_nest(g, flag: Flag) -> QbFactors:
     if g.shape[0] != flag.n:
         raise InputError(f"matrix dimension {g.shape[0]} does not match flag n={flag.n}")
     c = cond2(g)
-    if not np.isfinite(c) or c > COND_LIMIT:
+    if is_singular(c):
         raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
     bounds = Partition.maximal(flag).bounds
     y = flag.to_adapted(g)
@@ -127,15 +124,15 @@ def nilpotency_check(r, partition: Partition) -> int:
     """Smallest power at which r vanishes numerically; at most the block count.
 
     r must be strictly block upper for the partition; the k-th power is
-    compared against 1e-12 times the k-th power of max(1, ||r||).
+    compared against NILPOTENCY_TOL times the k-th power of max(1, ||r||).
     """
     r = as_matrix(r, square=True, name="r")
-    if frob(truncate_upper(partition, r) - r) > 1e-12 * max(1.0, frob(r)):
+    if frob(truncate_upper(partition, r) - r) > NILPOTENCY_TOL * max(1.0, frob(r)):
         raise InputError("r is not strictly block upper for the partition")
     scale = max(1.0, opnorm(r))
     power = r.copy()
     for k in range(1, partition.block_count + 1):
-        if frob(power) <= 1e-12 * scale**k:
+        if frob(power) <= NILPOTENCY_TOL * scale**k:
             return k
         power = power @ r
     raise DomainError("no nilpotency index within the block count")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .utils import COND_LIMIT, as_matrix, cond2
+from .utils import as_matrix, cond2, is_singular
 
 __all__ = [
     "BlockSplit",
@@ -107,7 +107,7 @@ def hc_factorize(g, split: BlockSplit) -> HCFactors:
     g = _check_square(g, split, "g")
     a, b, c, d = _blocks(g, split)
     cd = cond2(d)
-    if not np.isfinite(cd) or cd > COND_LIMIT:
+    if is_singular(cd):
         raise DomainError(
             "not in the factorizable set: lower-right block is numerically "
             f"singular (condition number {cd:.3e})")
@@ -126,7 +126,7 @@ def hc_action(g, z, split: BlockSplit) -> np.ndarray:
     a, b, c, d = _blocks(g, split)
     m = c @ z + d
     cm = cond2(m)
-    if not np.isfinite(cm) or cm > COND_LIMIT:
+    if is_singular(cm):
         raise DomainError(
             "outside the domain of the action: C Z + D is numerically "
             f"singular (condition number {cm:.3e})")
@@ -145,5 +145,4 @@ def hc_domain_test(g, z, split: BlockSplit) -> bool:
     g = _check_square(g, split, "g")
     z = _check_coordinate(z, split)
     _, _, c, d = _blocks(g, split)
-    cm = cond2(c @ z + d)
-    return bool(np.isfinite(cm) and cm <= COND_LIMIT)
+    return not is_singular(cond2(c @ z + d))

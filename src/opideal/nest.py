@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .symfunc import SymNormFunc, phi_norm
-from .utils import as_matrix, crandn, dagger, frob, opnorm
+from .utils import NEST_TOL, as_matrix, crandn, dagger, frob, is_unitary, opnorm
 
 __all__ = [
     "Flag",
@@ -30,8 +30,6 @@ __all__ = [
     "truncation_norm_experiment",
 ]
 
-_UNITARY_TOL = 1e-12
-
 
 class Flag:
     """An orthonormal flag: adapting unitary columns plus nested dimensions."""
@@ -41,8 +39,8 @@ class Flag:
     def __init__(self, basis, dims):
         basis = as_matrix(basis, square=True, name="flag basis")
         n = basis.shape[0]
-        err = frob(dagger(basis) @ basis - np.eye(n))
-        if err > _UNITARY_TOL * max(1.0, np.sqrt(n)):
+        if not is_unitary(basis):
+            err = frob(dagger(basis) @ basis - np.eye(n))
             raise InputError(f"flag basis is not unitary (residual {err:.2e})")
         dims = tuple(int(d) for d in dims)
         if not dims or dims[0] < 1 or dims[-1] != n or any(
@@ -190,7 +188,7 @@ def refinement_identities_check(p_part: Partition, q_part: Partition, x) -> dict
     return report
 
 
-def is_in_nest_algebra(b, flag: Flag, tol: float = 1e-12) -> bool:
+def is_in_nest_algebra(b, flag: Flag, tol: float = NEST_TOL) -> bool:
     """Whether b leaves every flag subspace invariant: b e = e b e for all cuts.
 
     A cut k passes when ``||(1 - e_k) b e_k||_2 <= tol``.  In the adapted

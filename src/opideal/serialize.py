@@ -12,13 +12,14 @@ import json
 
 import numpy as np
 
-from .amenable import (FiniteGroup, Functional, cyclic_group, dihedral_group,
-                       quaternion_group, symmetric_group, trivial_group)
+from .amenable import (FiniteGroup, Functional, check_group_order, cyclic_group,
+                       dihedral_group, quaternion_group, symmetric_group,
+                       trivial_group)
 from .classical import StructureData, default_structure
 from .errors import InputError
 from .nest import Flag
 from .symfunc import NonincreasingSequence
-from .utils import as_matrix
+from .utils import MAX_GROUP_ORDER, as_matrix
 
 __all__ = [
     "complex_to_pairs",
@@ -160,6 +161,7 @@ def group_from_obj(obj) -> FiniteGroup:
     if not isinstance(obj, dict):
         raise InputError("group object must be a JSON object")
     order = _require(obj, "order", int)
+    check_group_order(order)
     table = _require(obj, "table", list)
     if len(table) != order:
         raise InputError(f"field 'table' has {len(table)} rows, expected {order}")
@@ -186,10 +188,11 @@ def resolve_group(spec: str) -> FiniteGroup:
     name = spec.strip().lower()
     if name in _BUILTIN_GROUPS:
         return _BUILTIN_GROUPS[name]()
-    if name.startswith("z") and name[1:].isdigit():
-        return cyclic_group(int(name[1:]))
-    if name.startswith("d") and name[1:].isdigit():
-        return dihedral_group(int(name[1:]))
+    if name[:1] in ("z", "d") and name[1:].isdecimal():
+        digits = name[1:].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_GROUP_ORDER)):  # int() refuses > 4300 digits
+            raise InputError(f"group order exceeds the limit {MAX_GROUP_ORDER}")
+        return (cyclic_group if name[0] == "z" else dihedral_group)(int(digits))
     try:
         return load_group(spec)
     except OSError:

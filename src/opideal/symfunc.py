@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .utils import as_matrix
+from .utils import ASCENT_FTOL, SINGULAR_CLIP, UNIT_NORM_TOL, as_matrix
 
 __all__ = [
     "NonincreasingSequence",
     "SymNormFunc",
     "BoydEstimate",
-    "DualNormOptions",
     "DualNormResult",
     "singular_values",
     "phi_eval",
@@ -37,9 +36,8 @@ __all__ = [
     "boyd_estimate",
 ]
 
-# Relative clip below which singular values are treated as exact zeros,
-# to stabilise rank decisions downstream.
-SINGULAR_CLIP = 1e-13
+_RESTARTS = 2        # random dual-gauge ascent starts, on top of the deterministic one
+_MAX_ITER = 80       # SLSQP iteration cap per ascent
 
 
 class NonincreasingSequence:
@@ -194,16 +192,6 @@ def dual_gauge(phi: SymNormFunc) -> SymNormFunc | None:
 
 
 @dataclass(frozen=True)
-class DualNormOptions:
-    """Settings for the numeric dual-gauge maximisation."""
-
-    restarts: int = 2        # random ascent starts, on top of deterministic ones
-    tol: float = 1e-9
-    max_iter: int = 80
-    seed: int = 7
-
-
-@dataclass(frozen=True)
 class DualNormResult:
     """Numeric lower-bound estimate plus exact closed form when available."""
 
@@ -241,8 +229,7 @@ def _dual_candidates(eta: np.ndarray, rng: np.random.Generator, extra: int):
         yield xi
 
 
-def _ascend(phi: SymNormFunc, eta: np.ndarray, delta0: np.ndarray,
-            opts: DualNormOptions) -> float:
+def _ascend(phi: SymNormFunc, eta: np.ndarray, delta0: np.ndarray) -> float:
     """One constrained ascent run; always returns a valid lower bound.
 
     The sorted cone is parametrised by nonnegative increments delta with
@@ -273,25 +260,24 @@ def _ascend(phi: SymNormFunc, eta: np.ndarray, delta0: np.ndarray,
         bounds=[(0.0, None)] * n,
         constraints=[{"type": "ineq",
                       "fun": lambda d: 1.0 - _gauge_raw(phi, unpack(d))}],
-        options={"maxiter": opts.max_iter, "ftol": opts.tol},
+        options={"maxiter": _MAX_ITER, "ftol": ASCENT_FTOL},
     )
     return _pairing_ratio(phi, unpack(res.x), eta)
 
 
-def adjoint_phi_eval(phi: SymNormFunc, eta,
-                     opts: DualNormOptions | None = None) -> DualNormResult:
+def adjoint_phi_eval(phi: SymNormFunc, eta, seed: int = 7) -> DualNormResult:
     """Dual gauge value: sup over sorted xi >= 0 of <xi, eta> / gauge(xi).
 
     The numeric estimate is the best pairing ratio found over a canonical
     candidate family followed by projected ascent restarts, so it converges
     to the supremum from below.  For schatten gauges the exact ell^q value
-    (1/p + 1/q = 1) is returned alongside.
+    (1/p + 1/q = 1) is returned alongside.  The seed fixes the random
+    candidates and ascent starts.
     """
     eta = _as_sequence(eta)
     if eta.values.size == 0 or eta.values[0] == 0.0:
         raise InputError("eta must be nonzero")
-    opts = opts or DualNormOptions()
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     ev = eta.values
 
     best = 0.0
@@ -305,12 +291,12 @@ def adjoint_phi_eval(phi: SymNormFunc, eta,
     if best_xi is not None:
         delta = np.clip(np.append(-np.diff(best_xi), best_xi[-1]), 0.0, None)
         starts.append(delta)
-    for _ in range(opts.restarts):
+    for _ in range(_RESTARTS):
         starts.append(np.abs(rng.standard_normal(ev.size)))
     for d0 in starts:
         if d0.max() <= 0.0:
             continue
-        best = max(best, _ascend(phi, ev, d0, opts))
+        best = max(best, _ascend(phi, ev, d0))
 
     dg = dual_gauge(phi)
     closed = phi_eval(dg, eta) if dg is not None else None
@@ -323,29 +309,28 @@ def _as_block(m) -> int:
     return int(m)
 
 
+def _average(v: np.ndarray, m: int) -> np.ndarray:
+    """Block means of ``contract`` on a raw array; called like ``np.repeat(v, m)``."""
+    pad = (-v.size) % m
+    if pad:
+        v = np.concatenate([v, np.zeros(pad)])
+    return v.reshape(-1, m).mean(axis=1)
+
+
 def dilate(m: int, xi) -> NonincreasingSequence:
     """Repeat every entry m times."""
-    m = _as_block(m)
-    return NonincreasingSequence(np.repeat(_as_sequence(xi).values, m))
+    return NonincreasingSequence(np.repeat(_as_sequence(xi).values, _as_block(m)))
 
 
 def contract(m: int, xi) -> NonincreasingSequence:
     """Average consecutive blocks of m entries, zero-padding to a full block."""
-    m = _as_block(m)
-    v = _as_sequence(xi).values
-    if v.size == 0:
-        return NonincreasingSequence(v)
-    pad = (-v.size) % m
-    if pad:
-        v = np.concatenate([v, np.zeros(pad)])
-    return NonincreasingSequence(v.reshape(-1, m).mean(axis=1))
+    return NonincreasingSequence(_average(_as_sequence(xi).values, _as_block(m)))
 
 
 def _test_sequences(seq_len: int, block: int, rng: np.random.Generator):
     """Canonical probe family on which the dilation norms are maximised."""
     for j in range(1, seq_len + 1):
-        flat = np.ones(j)
-        yield flat
+        yield np.ones(j)
     for j in range(block, seq_len + 1, block):    # exact multiples of the block
         yield np.ones(j)
     e1 = np.zeros(max(1, min(seq_len, 4)))
@@ -360,32 +345,27 @@ def _test_sequences(seq_len: int, block: int, rng: np.random.Generator):
         yield np.sort(np.abs(rng.standard_normal(seq_len)))[::-1]
 
 
-def dilation_norm(phi: SymNormFunc, m: int, seq_len: int, seed: int = 0) -> float:
-    """Norm of the m-fold repeat operator, maximised over probe sequences."""
-    m = _as_block(m)
-    rng = np.random.default_rng([seed, m])
+def _probe_norm(phi: SymNormFunc, op, m: int, seq_len: int,
+                rng: np.random.Generator) -> float:
+    """Largest gauge ratio of op(v, m) to v over the probe sequences."""
     best = 0.0
     for v in _test_sequences(seq_len, m, rng):
         g = _gauge_raw(phi, v)
-        if g <= 0.0:
-            continue
-        best = max(best, _gauge_raw(phi, np.repeat(v, m)) / g)
+        if g > 0.0:
+            best = max(best, _gauge_raw(phi, op(v, m)) / g)
     return best
+
+
+def dilation_norm(phi: SymNormFunc, m: int, seq_len: int, seed: int = 0) -> float:
+    """Norm of the m-fold repeat operator, maximised over probe sequences."""
+    m = _as_block(m)
+    return _probe_norm(phi, np.repeat, m, seq_len, np.random.default_rng([seed, m]))
 
 
 def contraction_norm(phi: SymNormFunc, m: int, seq_len: int, seed: int = 0) -> float:
     """Norm of the m-block averaging operator, maximised over probe sequences."""
     m = _as_block(m)
-    rng = np.random.default_rng([seed, m, 1])
-    best = 0.0
-    for v in _test_sequences(seq_len, m, rng):
-        g = _gauge_raw(phi, v)
-        if g <= 0.0:
-            continue
-        pad = (-v.size) % m
-        w = np.concatenate([v, np.zeros(pad)]) if pad else v
-        best = max(best, _gauge_raw(phi, w.reshape(-1, m).mean(axis=1)) / g)
-    return best
+    return _probe_norm(phi, _average, m, seq_len, np.random.default_rng([seed, m, 1]))
 
 
 @dataclass
@@ -419,9 +399,9 @@ def boyd_estimate(phi: SymNormFunc, m_max: int, seq_len: int,
         dm = dilation_norm(phi, m, seq_len, seed=seed)
         cm = contraction_norm(phi, m, seq_len, seed=seed)
         dnorms[m], cnorms[m] = dm, cm
-        p_terms.append(math.inf if dm <= 1.0 + 1e-12
+        p_terms.append(math.inf if dm <= 1.0 + UNIT_NORM_TOL
                        else math.log(m) / math.log(dm))
-        q_terms.append(math.inf if cm >= 1.0 - 1e-12
+        q_terms.append(math.inf if cm >= 1.0 - UNIT_NORM_TOL
                        else math.log(1.0 / m) / math.log(cm))
     return BoydEstimate(
         p_hat=max(p_terms),

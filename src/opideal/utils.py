@@ -1,4 +1,5 @@
-"""Small shared linear-algebra helpers."""
+"""Small shared linear-algebra helpers and the package's tolerance policy:
+every accept/reject threshold is defined here (see README, "Tolerances")."""
 
 from __future__ import annotations
 
@@ -35,7 +36,45 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-COND_LIMIT = 1e12          # condition number above which a matrix counts as singular
+COND_LIMIT = 1e12        # 2-norm condition number above which a matrix is singular
+SINGULAR_CLIP = 1e-13    # singular values below this times the largest are exact zeros
+UNITARY_TOL = 1e-12      # Frobenius residual of u* u = 1, per max(1, sqrt(n))
+HERMITIAN_TOL = 1e-10    # ||a - a*||_F relative to max(1, ||a||_F)
+PD_THRESHOLD = 1e-10     # smallest eigenvalue relative to the largest, for definiteness
+EIGEN_GAP_TOL = 1e-8     # eigenvalue gap of a regular element, relative to max(1, |lambda|)
+NILPOTENCY_TOL = 1e-12   # strict-upper residual and vanishing power, relative to ||r||
+NEST_TOL = 1e-12         # default per-cut residual of nest-algebra membership
+MEMBERSHIP_TOL = 1e-10   # default relation residual of classical group/algebra membership
+CARTAN_TOL = 1e-8        # group relations required by, and reported after, the polar split
+NULLITY_TOL = 1e-9       # commutant singular values relative to the largest
+GNS_TOL = 1e-10          # a mean given to the GNS construction: probability and invariance
+GRAM_CLIP = 1e-12        # Gram weights below this times the largest span nothing
+ZERO_TOL = 1e-12         # mean weights: a weight, imaginary or negative part, or sum - 1 is 0
+REPORT_TOL = 1e-9        # CLI report checks: nest membership of b, regular character match
+ASCENT_FTOL = 1e-9       # SLSQP stopping tolerance of the dual-gauge ascent
+UNIT_NORM_TOL = 1e-12    # a dilation norm this close to 1 counts as 1 (index +inf)
+MAX_GROUP_ORDER = 1024   # largest finite group built; gns costs grow as |G|^5
+
+
+def unitary_bound(n: int) -> float:
+    """Frobenius bound on the residual of an exact identity between n x n unitaries."""
+    return UNITARY_TOL * max(1.0, np.sqrt(n))
+
+
+def is_unitary(u: np.ndarray) -> bool:
+    """||u* u - 1||_F <= UNITARY_TOL max(1, sqrt(n))."""
+    n = u.shape[0]
+    return frob(dagger(u) @ u - np.eye(n)) <= unitary_bound(n)
+
+
+def is_hermitian(a: np.ndarray) -> bool:
+    """||a - a*||_F <= HERMITIAN_TOL max(1, ||a||_F)."""
+    return frob(a - dagger(a)) <= HERMITIAN_TOL * max(1.0, frob(a))
+
+
+def is_singular(c: float) -> bool:
+    """Whether a condition number (inf and nan included) marks a singular matrix."""
+    return not c <= COND_LIMIT
 
 
 def cond2(a) -> float:

@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 
 from opideal import Flag, UnitaryRep, project, symmetric_group
-from opideal.utils import crandn, dagger, opnorm
+from opideal.classical import _relations
+from opideal.utils import crandn, dagger, frob, opnorm
 
 
 def random_flag(rng, n, dims=None):
@@ -67,6 +68,40 @@ def invariance_nullity(group, tol):
                         for x in range(n)])
     s = np.linalg.svd(system, compute_uv=False)
     return int(np.sum(s <= tol * max(s[0], 1.0)))
+
+
+def is_associative_by_triples(table):
+    """t[t[i,j],k] == t[i,t[j,k]] compared on all triples at once (n^3 memory)."""
+    t = np.asarray(table)
+    return bool(np.array_equal(t[t, :], t[:, t]))
+
+
+def triviality_by_pairs(group, weights, tol):
+    """The triviality criterion pair by pair: for every x and every a with
+    |w_a| > tol, the translation x a must fix a."""
+    for x in range(group.order):
+        for a in range(group.order):
+            if abs(weights[a]) > tol and group.table[x, a] != a:
+                return False
+    return True
+
+
+def algebra_membership_by_relations(x, typ, structure, tol):
+    """Lie algebra membership from the defining relations written out, not
+    from the involutions: each residual within tol max(1, ||x||) sqrt(n)."""
+    scale = tol * max(1.0, opnorm(x)) * np.sqrt(x.shape[0])
+    for name, c in _relations(typ, structure):
+        if name == "orth":              # x = -C x^T conj(C)
+            res = frob(x + c @ x.T @ c.conj())
+        elif name == "symp":            # x = +Ca x^T conj(Ca)
+            res = frob(x - c @ x.T @ c.conj())
+        elif name in ("real", "quat"):  # x C = C conj(x)
+            res = frob(x @ c - c @ x.conj())
+        else:                           # "iu": x* V = -V x
+            res = frob(dagger(x) @ c + c @ x)
+        if res > scale:
+            return False
+    return True
 
 
 def positive_qr(g):

@@ -11,9 +11,10 @@ from opideal import (FiniteGroup, Functional, GroupFunction, InputError,
                      sigma, sigma_dual, symmetric_group,
                      translate_left, translate_right, trivial_group,
                      triviality_test, uniform_mean)
-from opideal.amenable import _quotient_rep
-from opideal.utils import dagger, frob
-from oracles import invariance_nullity, s3_irreps
+from opideal.amenable import _quotient_rep, check_group_order
+from opideal.utils import MAX_GROUP_ORDER, ZERO_TOL, dagger, frob
+from oracles import (invariance_nullity, is_associative_by_triples, s3_irreps,
+                     triviality_by_pairs)
 
 
 def test_group_constructors():
@@ -339,3 +340,50 @@ def test_triviality_criterion():
     assert not triviality_test(z2, uniform_mean(z2))
     s3 = symmetric_group(3)
     assert not triviality_test(s3, uniform_mean(s3))
+
+
+@pytest.mark.parametrize("make_group", [
+    pytest.param(lambda: cyclic_group(1), id="z1"),
+    pytest.param(lambda: cyclic_group(2), id="z2"),
+    pytest.param(lambda: cyclic_group(6), id="z6"),
+    pytest.param(lambda: dihedral_group(5), id="d5"),
+    pytest.param(lambda: symmetric_group(3), id="s3"),
+    pytest.param(quaternion_group, id="q8"),
+])
+def test_triviality_matches_pairwise_oracle(make_group):
+    group = make_group()
+    n = group.order
+    rng = np.random.default_rng(n)
+    weights = [uniform_mean(group).weights, np.zeros(n), np.full(n, 0.5 * ZERO_TOL)]
+    weights += [delta_functional(group, x).weights for x in range(n)]
+    for _ in range(10):
+        w = rng.standard_normal(n) * (rng.random(n) < 0.3)
+        weights.append(w + 1j * rng.standard_normal(n) * (w != 0))
+    for w in weights:
+        expected = triviality_by_pairs(group, w, ZERO_TOL)
+        assert triviality_test(group, Functional(group, w)) == expected
+    assert triviality_test(group, Functional(group, np.zeros(n)))
+    assert triviality_test(group, uniform_mean(group)) == (n == 1)
+
+
+def test_associativity_check_matches_triple_oracle():
+    # a Latin square with a two-sided identity and inverses (x x = e for
+    # every x) on five letters: a loop that is not a group, since the only
+    # group of order 5 is cyclic
+    loop = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    assert not is_associative_by_triples(loop)
+    with pytest.raises(InputError, match="not associative"):
+        FiniteGroup(loop)
+    for group in (cyclic_group(7), dihedral_group(6), symmetric_group(4),
+                  quaternion_group()):
+        assert is_associative_by_triples(group.table)
+
+
+def test_group_order_cap_boundary():
+    check_group_order(MAX_GROUP_ORDER)
+    with pytest.raises(InputError, match="group order 1025 exceeds the limit 1024"):
+        check_group_order(MAX_GROUP_ORDER + 1)

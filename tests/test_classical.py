@@ -10,7 +10,9 @@ from opideal import (CLASSICAL_TYPES, DomainError, InputError,
                      irreducibility_check, iwasawa_algebra_split,
                      iwasawa_decompose, random_group_element,
                      regular_eigenflag, validate_structure)
+from opideal.classical import StructureData
 from opideal.utils import crandn, dagger, frob
+from oracles import algebra_membership_by_relations
 
 
 def test_default_structures_validate():
@@ -322,3 +324,34 @@ def test_irreducibility_known_cases():
     assert not irreducibility_check(blocks)
     with pytest.raises(InputError):
         irreducibility_check([])
+
+
+def _rotated_structure(typ, rng):
+    # C -> U C U^T keeps C unitary, C conj(C) = +-1 and commuting pairs, so
+    # the relation residual and the involution residual differ by a
+    # nontrivial unitary factor; signature types keep the standard V.
+    st = default_structure(typ, 4)
+    if st.v is not None:
+        return st
+    q, _ = np.linalg.qr(crandn(rng, 4, 4))
+
+    def rot(c):
+        return None if c is None else q @ c @ q.T
+    return StructureData(n=4, c_conj=rot(st.c_conj), c_anti=rot(st.c_anti))
+
+
+@pytest.mark.parametrize("typ", CLASSICAL_TYPES)
+def test_algebra_membership_matches_relation_oracle(typ):
+    rng = np.random.default_rng(12)
+    for st in (default_structure(typ, 4), _rotated_structure(typ, rng)):
+        validate_structure(typ, st)
+        for _ in range(5):
+            x = algebra_project(crandn(rng, 4, 4), typ, st)
+            assert algebra_membership(x, typ, st)
+            assert algebra_membership_by_relations(x, typ, st, 1e-10)
+            for eps in (1e-6, 1e-3):
+                e = crandn(rng, 4, 4)
+                y = x + eps * e / frob(e)
+                got = algebra_membership(y, typ, st)
+                assert got == algebra_membership_by_relations(y, typ, st, 1e-10)
+                assert got == (typ == "A")

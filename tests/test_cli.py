@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,30 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
     err = json.loads(out)["error"]
     assert err["code"] == "input-error"
     assert message in err["message"]
+
+
+@pytest.mark.parametrize("spec", ["z" + "9" * 5000, "z1025", "d513", "{file}"],
+                         ids=["z-5000-digits", "z1025", "d513", "json-order-1025"])
+def test_group_order_cap_refuses_before_building(workdir, capsys, spec):
+    big = workdir / "big.json"
+    big.write_text(json.dumps({"order": 1025, "table": []}))
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["mean", "--group", spec.format(file=big)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["code"] == "input-error"
+    assert "exceeds the limit 1024" in err["message"]
+    assert peak < 2**20        # a 1025-element Cayley table alone is 8 MB
+
+
+def test_group_name_with_non_decimal_digits_is_input_error(capsys):
+    code, out = run_cli(["mean", "--group", "z\u00b2"], capsys)   # superscript two
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "input-error"
 
 
 def test_structure_loader_rejects_malformed_json(tmp_path):

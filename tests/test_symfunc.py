@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opideal import (DualNormOptions, InputError, NonincreasingSequence,
+from opideal import (InputError, NonincreasingSequence,
                      SymNormFunc, adjoint_phi_eval, boyd_estimate, contract,
                      dilate, dilation_norm, dual_gauge, phi_eval, phi_norm,
                      singular_values)
@@ -306,6 +306,6 @@ def test_schatten_monotone_in_p_at_fixed_dimension():
 
 def test_dual_options_deterministic():
     eta = np.sort(np.random.default_rng(5).uniform(0, 2, 9))[::-1]
-    a = adjoint_phi_eval(SymNormFunc.schatten(3), eta, DualNormOptions(seed=11))
-    b = adjoint_phi_eval(SymNormFunc.schatten(3), eta, DualNormOptions(seed=11))
+    a = adjoint_phi_eval(SymNormFunc.schatten(3), eta, seed=11)
+    b = adjoint_phi_eval(SymNormFunc.schatten(3), eta, seed=11)
     assert a.estimate == b.estimate
