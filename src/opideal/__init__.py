@@ -2,8 +2,8 @@
 triangular truncations and factorizations, classical matrix-group
 decompositions, and finite-group invariant means."""
 
-from .amenable import (FiniteGroup, Functional, GroupFunction, UnitaryRep,
-                       arens_product, cyclic_group, delta_functional,
+from .amenable import (FiniteGroup, Functional, GroupFunction, RegularRep,
+                       UnitaryRep, arens_product, cyclic_group, delta_functional,
                        dihedral_group, gns_regular, integrate_rep,
                        invariance_residual, invariant_means, is_mean,
                        left_regular_rep, quaternion_group, regular_character,

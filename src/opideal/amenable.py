@@ -17,8 +17,8 @@ import itertools
 import numpy as np
 
 from .errors import InputError
-from .utils import (GNS_TOL, GRAM_CLIP, MAX_GROUP_ORDER, ZERO_TOL,
-                    as_matrix, dagger, frob, is_unitary, unitary_bound)
+from .utils import (GNS_TOL, MAX_GROUP_ORDER, ZERO_TOL, as_matrix, frob,
+                    is_unitary, unitary_bound)
 
 __all__ = [
     "FiniteGroup",
@@ -26,6 +26,7 @@ __all__ = [
     "GroupFunction",
     "Functional",
     "UnitaryRep",
+    "RegularRep",
     "trivial_group",
     "cyclic_group",
     "dihedral_group",
@@ -53,8 +54,8 @@ class FiniteGroup:
     """A finite group presented by its Cayley table of element indices.
 
     table[i, j] is the index of the product of elements i and j; the
-    associativity, identity and inverse laws are verified exhaustively on
-    construction.
+    identity and inverse laws are verified exhaustively on construction,
+    associativity by Light's test on a generating set.
     """
 
     __slots__ = ("order", "table", "inverse", "identity", "labels", "name")
@@ -80,15 +81,14 @@ class FiniteGroup:
         if len(ident) != 1:
             raise InputError("cayley table has no two-sided identity")
         e = ident[0]
-        # associativity t[t[i,j],k] == t[i,t[j,k]], one i at a time: O(n^2) memory
-        if not all(np.array_equal(t[t[i]], t[i][t]) for i in range(n)):
+        is_e = t == e
+        inverse = is_e.argmax(axis=1)
+        no_inverse = (is_e.sum(axis=1) != 1) | (t[inverse, rng_idx] != e)
+        if no_inverse.any():
+            i = int(np.flatnonzero(no_inverse)[0])
+            raise InputError(f"element {i} has no two-sided inverse")
+        if not _is_associative(t, e):
             raise InputError("cayley table is not associative")
-        inverse = np.full(n, -1, dtype=int)
-        for i in range(n):
-            js = np.nonzero(t[i] == e)[0]
-            if js.size != 1 or t[js[0], i] != e:
-                raise InputError(f"element {i} has no two-sided inverse")
-            inverse[i] = js[0]
         if labels is not None and len(labels) != n:
             raise InputError("labels must match the group order")
         self.order = n
@@ -109,6 +109,49 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
         return f"FiniteGroup({label})"
+
+
+def _generating_set(t: np.ndarray, e: int) -> list[int]:
+    """Greedy generators of the table: each one is the first element
+    outside the closure of e and the generators before it under the
+    table's product."""
+    n = t.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    inside[e] = True
+    gens = []
+    while not inside.all():
+        g = int(np.argmin(inside))
+        gens.append(g)
+        inside[g] = True
+        new = np.array([g])
+        while new.size:
+            # products with a new factor; those of two old factors are inside
+            old = np.flatnonzero(inside)
+            hit = np.zeros(n, dtype=bool)
+            hit[t[np.ix_(new, old)]] = True
+            hit[t[np.ix_(old, new)]] = True
+            hit &= ~inside
+            inside |= hit
+            new = np.flatnonzero(hit)
+    return gens
+
+
+def _is_associative(t: np.ndarray, e: int) -> bool:
+    """Light's associativity test (Clifford & Preston, The Algebraic Theory
+    of Semigroups I, 1961, section 1.2) for a table with a two-sided
+    identity e and two-sided inverses.
+
+    The elements a with (x a) y = x (a y) for all x, y form a submagma
+    that contains e, so the law holds everywhere once it holds for a
+    generating set: O(|S| n^2) work in place of O(n^3).  In a group the
+    closure of k greedy generators is a subgroup of order at least 2^k,
+    so a table that needs more than log2 n of them is no group; with the
+    identity and inverses verified, it is not associative.
+    """
+    gens = _generating_set(t, e)
+    if len(gens) > t.shape[0].bit_length() - 1:
+        return False
+    return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens)
 
 
 def check_group_order(order: int) -> None:
@@ -135,16 +178,13 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("dihedral group needs n >= 1")
     check_group_order(2 * n)
-    elems = [(a, b) for b in (0, 1) for a in range(n)]
-    index = {el: i for i, el in enumerate(elems)}
-
-    def mul(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        return ((a1 + (a2 if b1 == 0 else -a2)) % n, (b1 + b2) % 2)
-
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
-    labels = [f"r{a}" if b == 0 else f"sr{a}" for a, b in elems]
+    # element b n + a is the rotation a followed by b flips; a flip
+    # reverses the rotation it passes
+    idx = np.arange(2 * n)
+    a, b = idx % n, idx // n
+    rot = (a[:, None] + np.where(b[:, None] == 0, a, -a)) % n
+    table = (b[:, None] ^ b) * n + rot
+    labels = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
     return FiniteGroup(table, labels=labels, name=f"d{n}")
 
 
@@ -175,10 +215,13 @@ def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of n letters with composition (p q)(i) = p(q(i))."""
     if n < 1 or n > 6:
         raise InputError("symmetric group constructor supports 1 <= n <= 6")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    labels = ["".join(map(str, p)) for p in perms]
+    perms = np.array(list(itertools.permutations(range(n))))  # lexicographic
+    # a permutation's index is the rank of its base-n digits among all
+    # permutations; (p q)(i) = p(q(i)) is perms[:, perms[:, i]]
+    place = n ** np.arange(n - 1, -1, -1)
+    codes = sum(perms[:, perms[:, i]] * place[i] for i in range(n))
+    table = np.searchsorted(perms @ place, codes)
+    labels = ["".join(map(str, p)) for p in perms.tolist()]
     return FiniteGroup(table, labels=labels, name=f"s{n}")
 
 
@@ -351,15 +394,35 @@ class UnitaryRep:
         return np.array([np.trace(m) for m in self.matrices])
 
 
-def left_regular_rep(group: FiniteGroup) -> UnitaryRep:
-    """Permutation matrices of left translation on the group itself."""
-    n = group.order
-    mats = []
-    for x in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[group.table[x], np.arange(n)] = 1.0
-        mats.append(m)
-    return UnitaryRep(group, mats)
+class RegularRep:
+    """The left regular representation as permutations of the elements:
+    x sends delta_a to delta_{x a}.
+
+    Only the group's Cayley table is stored.  Its homomorphism law is the
+    associativity the group verified on construction, and its matrices
+    are permutation matrices, so they are unitary and exact.
+    """
+
+    __slots__ = ("group", "dim")
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.dim = group.order
+
+    def matrix(self, x: int) -> np.ndarray:
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m[self.group.table[_check_element(self.group, x)], np.arange(self.dim)] = 1.0
+        return m
+
+    def character(self) -> np.ndarray:
+        """Number of points each left translation fixes, counted exactly."""
+        fixed = self.group.table == np.arange(self.dim)
+        return np.count_nonzero(fixed, axis=1).astype(float)
+
+
+def left_regular_rep(group: FiniteGroup) -> RegularRep:
+    """Left translation on the group itself."""
+    return RegularRep(group)
 
 
 def regular_character(group: FiniteGroup) -> np.ndarray:
@@ -371,57 +434,41 @@ def regular_character(group: FiniteGroup) -> np.ndarray:
     return char
 
 
-def integrate_rep(rep: UnitaryRep, mu: Functional) -> np.ndarray:
+def integrate_rep(rep: UnitaryRep | RegularRep, mu: Functional) -> np.ndarray:
     """The functional integrated against the representation: sum of
     weights(x) times the matrix of x.  Multiplicative for the induced
     product on functionals and intertwines the flip with the adjoint."""
     if not _same_group(rep.group, mu.group):
         raise InputError("representation and functional live on different groups")
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    if isinstance(rep, RegularRep):
+        # x puts weights(x) at (x a, a); x -> x a is a bijection for each a
+        out[rep.group.table, np.arange(rep.dim)] = mu.weights[:, None]
+        return out
     for x in range(rep.group.order):
         out += mu.weights[x] * rep.matrices[x]
     return out
 
 
-def _quotient_rep(group: FiniteGroup, weights: np.ndarray):
-    """Gram-quotient compression of the translation action psi -> L_{x^{-1}} psi.
-
-    Returns the compressed matrices and the rank of the Gram matrix of the
-    delta basis under the form (psi, chi) -> sum w psi conj(chi).
-    """
-    n = group.order
-    # The Gram matrix of the delta basis is diagonal: its eigenvectors are
-    # the deltas and its eigenvalues the weights.
-    gram = np.diag(weights.astype(complex))
-    keep = weights > GRAM_CLIP * max(float(weights.max()), 0.0)
-    rank = int(np.count_nonzero(keep))
-    basis = np.eye(n, dtype=complex)[:, keep] / np.sqrt(weights[keep])
-    mats = []
-    for x in range(n):
-        perm = np.zeros((n, n), dtype=complex)
-        perm[group.table[x], np.arange(n)] = 1.0   # delta_a -> delta_{x a}
-        mats.append(dagger(basis) @ gram @ perm @ basis)
-    return mats, rank
-
-
-def gns_regular(group: FiniteGroup, mu: Functional) -> UnitaryRep:
+def gns_regular(group: FiniteGroup, mu: Functional) -> RegularRep:
     """Regular representation attached to an invariant mean.
 
     The Hilbert space is the Gram quotient of the functions under
     (psi, chi) -> mu(psi conj(chi)); the group acts by psi -> L_{x^{-1}} psi.
-    For the uniform mean this is unitarily equivalent to the left regular
-    representation (matching characters).
+    A mean that passes the checks below is the uniform one within GNS_TOL.
+    The uniform mean's form is the standard inner product over |G|, so the
+    vectors sqrt(|G|) delta_a are an orthonormal basis of the quotient and
+    x sends delta_a to delta_{x a}: the representation is exactly the left
+    regular one.
     """
     if not _same_group(mu.group, group):
         raise InputError("mean lives on a different group")
     if not is_mean(mu, tol=GNS_TOL):
         raise InputError("functional is not a mean (weights must be a probability)")
-    w = mu.weights.real
-    residual = invariance_residual(group, w)
+    residual = invariance_residual(group, mu.weights.real)
     if residual > GNS_TOL:
         raise InputError(f"mean is not left invariant (residual {residual:.2e})")
-    mats, _ = _quotient_rep(group, w)
-    return UnitaryRep(group, mats)
+    return left_regular_rep(group)
 
 
 def triviality_test(group: FiniteGroup, mu: Functional) -> bool:

@@ -48,12 +48,11 @@ MEMBERSHIP_TOL = 1e-10   # default relation residual of classical group/algebra 
 CARTAN_TOL = 1e-8        # group relations required by, and reported after, the polar split
 NULLITY_TOL = 1e-9       # commutant singular values relative to the largest
 GNS_TOL = 1e-10          # a mean given to the GNS construction: probability and invariance
-GRAM_CLIP = 1e-12        # Gram weights below this times the largest span nothing
 ZERO_TOL = 1e-12         # mean weights: a weight, imaginary or negative part, or sum - 1 is 0
 REPORT_TOL = 1e-9        # CLI report checks: nest membership of b, regular character match
 ASCENT_FTOL = 1e-9       # SLSQP stopping tolerance of the dual-gauge ascent
 UNIT_NORM_TOL = 1e-12    # a dilation norm this close to 1 counts as 1 (index +inf)
-MAX_GROUP_ORDER = 1024   # largest finite group built; gns costs grow as |G|^5
+MAX_GROUP_ORDER = 1024   # largest finite group built; its table holds |G|^2 indices
 
 
 def unitary_bound(n: int) -> float:

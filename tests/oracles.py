@@ -3,7 +3,8 @@
 Everything here is deliberately written by a different route than the
 package code: permuted Cholesky instead of block elimination, classical
 Gram-Schmidt instead of the Gram-matrix factorization, explicit
-permutation matrices for representations.
+permutation matrices and the dense Gram quotient for representations,
+element tuples for Cayley tables.
 """
 
 import itertools
@@ -13,6 +14,8 @@ import numpy as np
 from opideal import Flag, UnitaryRep, project, symmetric_group
 from opideal.classical import _relations
 from opideal.utils import crandn, dagger, frob, opnorm
+
+GRAM_CLIP = 1e-12   # Gram weights below this times the largest span nothing
 
 
 def random_flag(rng, n, dims=None):
@@ -74,6 +77,65 @@ def is_associative_by_triples(table):
     """t[t[i,j],k] == t[i,t[j,k]] compared on all triples at once (n^3 memory)."""
     t = np.asarray(table)
     return bool(np.array_equal(t[t, :], t[:, t]))
+
+
+def dihedral_table_by_tuples(n):
+    """Cayley table and labels of the dihedral group of order 2n from
+    (rotation, flip) tuples multiplied one pair at a time."""
+    elems = [(a, b) for b in (0, 1) for a in range(n)]
+    index = {el: i for i, el in enumerate(elems)}
+
+    def mul(x, y):
+        a1, b1 = x
+        a2, b2 = y
+        return ((a1 + (a2 if b1 == 0 else -a2)) % n, (b1 + b2) % 2)
+
+    table = [[index[mul(x, y)] for y in elems] for x in elems]
+    labels = [f"r{a}" if b == 0 else f"sr{a}" for a, b in elems]
+    return np.array(table), labels
+
+
+def symmetric_table_by_tuples(n):
+    """Cayley table and labels of the permutations of n letters, composed
+    (p q)(i) = p(q(i)) as tuples and looked up in a dictionary."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+    labels = ["".join(map(str, p)) for p in perms]
+    return np.array(table), labels
+
+
+def dense_left_regular_rep(group):
+    """The left regular representation as explicit permutation matrices,
+    validated by UnitaryRep's pair-by-pair homomorphism check."""
+    n = group.order
+    mats = []
+    for x in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[group.table[x], np.arange(n)] = 1.0
+        mats.append(m)
+    return UnitaryRep(group, mats)
+
+
+def quotient_rep(group, weights):
+    """Gram-quotient compression of the translation action psi -> L_{x^{-1}} psi.
+
+    Returns the compressed matrices and the rank of the Gram matrix of the
+    delta basis under the form (psi, chi) -> sum w psi conj(chi).
+    """
+    n = group.order
+    # The Gram matrix of the delta basis is diagonal: its eigenvectors are
+    # the deltas and its eigenvalues the weights.
+    gram = np.diag(weights.astype(complex))
+    keep = weights > GRAM_CLIP * max(float(weights.max()), 0.0)
+    rank = int(np.count_nonzero(keep))
+    basis = np.eye(n, dtype=complex)[:, keep] / np.sqrt(weights[keep])
+    mats = []
+    for x in range(n):
+        perm = np.zeros((n, n), dtype=complex)
+        perm[group.table[x], np.arange(n)] = 1.0   # delta_a -> delta_{x a}
+        mats.append(dagger(basis) @ gram @ perm @ basis)
+    return mats, rank
 
 
 def triviality_by_pairs(group, weights, tol):

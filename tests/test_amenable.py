@@ -11,10 +11,32 @@ from opideal import (FiniteGroup, Functional, GroupFunction, InputError,
                      sigma, sigma_dual, symmetric_group,
                      translate_left, translate_right, trivial_group,
                      triviality_test, uniform_mean)
-from opideal.amenable import _quotient_rep, check_group_order
+from opideal.amenable import (_generating_set, _is_associative,
+                              check_group_order)
 from opideal.utils import MAX_GROUP_ORDER, ZERO_TOL, dagger, frob
-from oracles import (invariance_nullity, is_associative_by_triples, s3_irreps,
+from oracles import (dense_left_regular_rep, dihedral_table_by_tuples,
+                     invariance_nullity, is_associative_by_triples,
+                     quotient_rep, s3_irreps, symmetric_table_by_tuples,
                      triviality_by_pairs)
+
+# A Latin square with a two-sided identity and inverses (x x = e for every
+# x) on five letters: a loop that is not a group, since the only group of
+# order 5 is cyclic.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+# A loop of order 6 with greedy generators 1, 2 in which the first
+# generator associates in the middle, (x 1) y = x (1 y) for all x, y, so
+# every failing triple has another element in the middle.
+LOOP6 = [[0, 1, 2, 3, 4, 5],
+         [1, 0, 3, 2, 5, 4],
+         [2, 3, 4, 5, 0, 1],
+         [3, 2, 5, 4, 1, 0],
+         [4, 5, 0, 1, 3, 2],
+         [5, 4, 1, 0, 2, 3]]
 
 
 def test_group_constructors():
@@ -24,6 +46,17 @@ def test_group_constructors():
     assert symmetric_group(4).order == 24
     assert quaternion_group().order == 8
     assert dihedral_group(5).order == 10
+
+
+def test_vectorised_constructors_match_tuple_tables():
+    for n in range(1, 13):
+        table, labels = dihedral_table_by_tuples(n)
+        group = dihedral_group(n)
+        assert np.array_equal(group.table, table) and group.labels == labels
+    for n in range(1, 6):
+        table, labels = symmetric_table_by_tuples(n)
+        group = symmetric_group(n)
+        assert np.array_equal(group.table, table) and group.labels == labels
 
 
 def test_cayley_validation_rejects_corrupt_tables():
@@ -114,14 +147,27 @@ def test_invariant_means_examples():
     assert np.allclose(invariant_means(trivial_group())[0].weights, [1.0])
 
 
-def _relabelled_s3():
-    # the same group under a scrambled element numbering, so the identity
-    # is not element 0 and the table is not sorted
-    table = symmetric_group(3).table
-    perm = np.array([3, 5, 0, 4, 2, 1])
+def _relabel(table, perm):
+    # the same table under the element numbering a -> perm[a]
+    table = np.asarray(table)
     relabelled = np.empty_like(table)
     relabelled[np.ix_(perm, perm)] = perm[table]
-    return FiniteGroup(relabelled)
+    return relabelled
+
+
+def _relabelled_s3():
+    # a scrambled numbering, so the identity is not element 0 and the
+    # table is not sorted
+    return FiniteGroup(_relabel(symmetric_group(3).table,
+                                np.array([3, 5, 0, 4, 2, 1])))
+
+
+def _relabelled_d8_by_z4():
+    # the dihedral group of order 16 times Z4 (order 64, non-abelian),
+    # under a seeded numbering
+    d, z = dihedral_group(8).table, cyclic_group(4).table
+    table = (d[:, None, :, None] * 4 + z[None, :, None, :]).reshape(64, 64)
+    return FiniteGroup(_relabel(table, np.random.default_rng(64).permutation(64)))
 
 
 CERTIFIED_GROUPS = [
@@ -153,7 +199,36 @@ def test_exact_mean_certificate_matches_numeric_rank(make_group):
 def test_exact_regular_character_matches_permutation_traces(make_group):
     group = make_group()
     assert np.array_equal(regular_character(group),
-                          left_regular_rep(group).character())
+                          dense_left_regular_rep(group).character())
+
+
+@pytest.mark.parametrize("make_group", CERTIFIED_GROUPS + [
+    pytest.param(_relabelled_d8_by_z4, id="relabelled-d8xz4")])
+def test_permutation_rep_matches_dense_oracles(make_group):
+    # gns of the uniform mean against explicit permutation matrices and the
+    # dense Gram quotient it replaces
+    group = make_group()
+    n = group.order
+    rep = gns_regular(group, uniform_mean(group))
+    dense = dense_left_regular_rep(group)
+    quotient, rank = quotient_rep(group, np.full(n, 1.0 / n))
+    assert rep.dim == dense.dim == rank == n
+    for x in range(n):
+        assert np.array_equal(rep.matrix(x), dense.matrix(x))
+        assert np.allclose(rep.matrix(x), quotient[x], rtol=0.0, atol=1e-12)
+    assert np.array_equal(rep.character(), dense.character())
+    assert np.allclose(rep.character(), [np.trace(m) for m in quotient],
+                       rtol=0.0, atol=1e-12)
+    rng = np.random.default_rng(n)
+    mu = Functional(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert np.array_equal(integrate_rep(rep, mu), integrate_rep(dense, mu))
+    by_quotient = sum(w * m for w, m in zip(mu.weights, quotient))
+    assert np.allclose(integrate_rep(rep, mu), by_quotient, rtol=0.0, atol=1e-12)
+    # the homomorphism law, exactly, on every pair
+    mats = [rep.matrix(x) for x in range(n)]
+    for x in range(n):
+        for y in range(n):
+            assert np.array_equal(mats[x] @ mats[y], mats[group.table[x, y]])
 
 
 def test_invariance_residual_matches_translation_loop():
@@ -301,7 +376,7 @@ def test_integrate_rep_is_algebra_map():
 def test_gns_regular_examples():
     triv = trivial_group()
     rep = gns_regular(triv, uniform_mean(triv))
-    assert rep.dim == 1 and np.allclose(rep.matrices[0], np.eye(1))
+    assert rep.dim == 1 and np.allclose(rep.matrix(0), np.eye(1))
 
     z2 = cyclic_group(2)
     rep2 = gns_regular(z2, uniform_mean(z2))
@@ -329,7 +404,7 @@ def test_gns_rejects_bad_functionals():
 def test_gns_quotient_rank_deficient_path():
     # synthetic non-mean weights exercise the degenerate Gram quotient
     z2 = cyclic_group(2)
-    mats, rank = _quotient_rep(z2, np.array([1.0, 0.0]))
+    mats, rank = quotient_rep(z2, np.array([1.0, 0.0]))
     assert rank == 1
     assert all(m.shape == (1, 1) for m in mats)
 
@@ -366,21 +441,71 @@ def test_triviality_matches_pairwise_oracle(make_group):
     assert triviality_test(group, uniform_mean(group)) == (n == 1)
 
 
+def _builtins_up_to_24():
+    yield trivial_group()
+    yield quaternion_group()
+    for n in range(1, 25):
+        yield cyclic_group(n)
+    for n in range(1, 13):
+        yield dihedral_group(n)
+    for n in range(1, 5):
+        yield symmetric_group(n)
+
+
 def test_associativity_check_matches_triple_oracle():
-    # a Latin square with a two-sided identity and inverses (x x = e for
-    # every x) on five letters: a loop that is not a group, since the only
-    # group of order 5 is cyclic
-    loop = [[0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0]]
-    assert not is_associative_by_triples(loop)
-    with pytest.raises(InputError, match="not associative"):
-        FiniteGroup(loop)
-    for group in (cyclic_group(7), dihedral_group(6), symmetric_group(4),
-                  quaternion_group()):
-        assert is_associative_by_triples(group.table)
+    rng = np.random.default_rng(24)
+    for group in _builtins_up_to_24():
+        perm = rng.permutation(group.order)
+        for table, identity in ((group.table, group.identity),
+                                (_relabel(group.table, perm), perm[group.identity])):
+            assert is_associative_by_triples(table)
+            assert _is_associative(table, identity)
+            assert len(_generating_set(table, identity)) <= np.log2(group.order)
+        FiniteGroup(_relabel(group.table, perm))
+
+
+@pytest.mark.parametrize("loop", [LOOP5, LOOP6], ids=["loop5", "loop6"])
+def test_light_test_rejects_loops(loop):
+    loop = np.array(loop)
+    rng = np.random.default_rng(len(loop))
+    for table in (loop, _relabel(loop, rng.permutation(len(loop)))):
+        assert not is_associative_by_triples(table)
+        with pytest.raises(InputError, match="not associative"):
+            FiniteGroup(table)
+
+
+def test_light_test_checks_every_generator():
+    t = np.array(LOOP6)
+    assert _generating_set(t, 0) == [1, 2]
+    failing = {(x, m, y) for x in range(6) for m in range(6) for y in range(6)
+               if t[t[x, m], y] != t[x, t[m, y]]}
+    assert failing and all(m != 1 for _, m, _ in failing)
+    assert not _is_associative(t, 0)
+
+
+def test_table_beyond_the_generating_set_bound_is_rejected():
+    # identity 0, x x = 0 and x y = max(x, y) otherwise: identity and
+    # inverses hold, but every closure grows by one element, so the greedy
+    # set needs 4 generators where a group of order 5 needs at most 2
+    n = 5
+    idx = np.arange(n)
+    table = np.maximum(idx[:, None], idx[None, :])
+    table[idx, idx] = 0
+    assert _generating_set(table, 0) == [1, 2, 3, 4]
+    assert not is_associative_by_triples(table)
+    assert not _is_associative(table, 0)
+    with pytest.raises(InputError, match="cayley table is not associative"):
+        FiniteGroup(table)
+
+
+def test_inverse_law_is_checked_before_associativity():
+    # row 1 of the five-letter loop with a second identity entry: both laws
+    # fail, and the inverse law is reported
+    table = np.array(LOOP5)
+    table[1, 2] = 0
+    assert not is_associative_by_triples(table)
+    with pytest.raises(InputError, match="element 1 has no two-sided inverse"):
+        FiniteGroup(table)
 
 
 def test_group_order_cap_boundary():

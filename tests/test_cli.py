@@ -226,15 +226,19 @@ def test_mean_gns_arens(workdir, capsys):
 def test_mean_and_gns_build_no_second_representation(workdir, capsys, monkeypatch,
                                                       group):
     # The group axioms certify the uniform mean and the regular character,
-    # so neither subcommand may build the left regular representation; gns
-    # builds exactly one representation, the Gram quotient.
+    # so mean builds no representation; gns builds the left regular one
+    # once, as permutations, and no matrix representation.
     if group == "{file}":
         group = str(workdir / "s3.json")
         table = symmetric_group(3).table.tolist()
         (workdir / "s3.json").write_text(json.dumps({"order": 6, "table": table}))
 
-    def refuse(_group):
-        raise AssertionError("left_regular_rep called")
+    regular = []
+    left_regular_rep = amenable.left_regular_rep
+
+    def counting_regular(group):
+        regular.append(group.order)
+        return left_regular_rep(group)
 
     built = []
 
@@ -243,14 +247,38 @@ def test_mean_and_gns_build_no_second_representation(workdir, capsys, monkeypatc
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(amenable, "left_regular_rep", refuse)
+    monkeypatch.setattr(amenable, "left_regular_rep", counting_regular)
     monkeypatch.setattr(amenable, "UnitaryRep", CountingRep)
     code, out = run_cli(["mean", "--group", group], capsys)
     assert code == 0 and json.loads(out)["unique"] is True
-    assert built == []
+    assert regular == [] and built == []
     code, out = run_cli(["gns", "--group", group], capsys)
-    assert code == 0 and json.loads(out)["matches_regular_character"] is True
-    assert built == [1]
+    rep = json.loads(out)
+    assert code == 0 and rep["matches_regular_character"] is True
+    assert regular == [rep["dim"]] and built == []
+
+
+@pytest.mark.parametrize("argv", [["gns", "--group", "z1024"],
+                                  ["gns", "--group", "d512"],
+                                  ["mean", "--group", "z1024"]],
+                         ids=["gns-z1024", "gns-d512", "mean-z1024"])
+def test_group_requests_at_the_order_cap_fit_in_quadratic_memory(capsys, argv):
+    # the Cayley table alone is 8 MB at order 1024; a dense representation
+    # would be 16 GB
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rep = json.loads(out)
+    if argv[0] == "gns":
+        assert rep["dim"] == 1024 and rep["matches_regular_character"] is True
+        assert rep["character"][0] == [1024.0, 0.0]
+    else:
+        assert rep["unique"] is True and rep["invariance_residual"] == 0.0
+    assert peak < 64 * 2**20
 
 
 def test_experiment_csv(workdir, capsys):
