@@ -27,8 +27,9 @@ from .errors import DomainError, InputError
 from .factor import qb_nest
 from .nest import Flag, triangular_integral
 from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL,
-                    as_matrix, cond2, crandn, dagger, frob, is_hermitian,
-                    is_singular, is_unitary, opnorm, unitary_bound)
+                    as_matrix, cond2, crandn, dagger, expm, frob,
+                    is_hermitian, is_singular, is_unitary, opnorm,
+                    unitary_bound)
 
 __all__ = [
     "CLASSICAL_TYPES",
@@ -292,10 +293,6 @@ def random_group_element(typ: str, structure: StructureData | None = None,
             raise InputError("give either a structure or the dimension n")
         structure = default_structure(typ, n)
     validate_structure(typ, structure)
-    # Deferred so that importing the package (and so every CLI request)
-    # does not pay for scipy.linalg; no subcommand samples group elements.
-    from scipy.linalg import expm
-
     dim = structure.n
     rng = np.random.default_rng(seed)
     g = np.eye(dim, dtype=complex)

@@ -315,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
 
     p = add("dualnorm", _cmd_dualnorm,
-            "Dual gauge value of a sorted sequence: numeric supremum of the "
-            "pairing ratio, plus the exact ell^q value for schatten gauges.")
+            "Dual gauge value of a sorted sequence: a numeric lower bound on "
+            "the supremum of the pairing ratio, plus the exact value for every "
+            "gauge (ell^q for schatten:p with 1/p + 1/q = 1, "
+            "max(eta_1, sum/k) for kyfan:k).")
     p.add_argument("--phi", required=True)
     p.add_argument("--sequence", required=True, help="CSV, one value per line")
     p.add_argument("--seed", type=int, default=None)

@@ -5,8 +5,9 @@ sequences, normalised so that a single unit entry has gauge one.  Two
 families are provided: the ``schatten`` gauges (the ell^p length) and the
 ``kyfan`` gauges (sum of the k leading entries).  Evaluated on singular
 values they give the unitarily invariant matrix norms.  The module also
-estimates the dual gauge by constrained maximisation and the dilation
-growth exponents (Boyd indices) by a finite scan over block dilations.
+gives the dual gauge in closed form together with an independent numeric
+lower bound, and estimates the dilation growth exponents (Boyd indices) by
+a finite scan over block dilations.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .utils import ASCENT_FTOL, SINGULAR_CLIP, UNIT_NORM_TOL, as_matrix
+from .utils import (DUAL_MAX_ITER, DUAL_MIN_STEP, DUAL_RISE_TOL, SINGULAR_CLIP,
+                    UNIT_NORM_TOL, as_matrix)
 
 __all__ = [
     "NonincreasingSequence",
@@ -35,10 +37,6 @@ __all__ = [
     "contraction_norm",
     "boyd_estimate",
 ]
-
-_RESTARTS = 2        # random dual-gauge ascent starts, on top of the deterministic one
-_MAX_ITER = 80       # SLSQP iteration cap per ascent
-
 
 class NonincreasingSequence:
     """A finite sequence of nonnegative reals sorted nonincreasing.
@@ -180,7 +178,8 @@ def phi_norm(phi: SymNormFunc, t) -> float:
 
 
 def dual_gauge(phi: SymNormFunc) -> SymNormFunc | None:
-    """The adjoint gauge in closed form where one is known (schatten only)."""
+    """The adjoint gauge where it is again one of the two families (schatten
+    only: the dual of a kyfan gauge is max(xi_1, sum / k), neither)."""
     if phi.kind != "schatten":
         return None
     p = phi.p
@@ -193,14 +192,10 @@ def dual_gauge(phi: SymNormFunc) -> SymNormFunc | None:
 
 @dataclass(frozen=True)
 class DualNormResult:
-    """Numeric lower-bound estimate plus exact closed form when available."""
+    """Numeric lower-bound estimate plus the exact closed form."""
 
     estimate: float
-    closed_form: float | None
-
-    @property
-    def value(self) -> float:
-        return self.estimate if self.closed_form is None else self.closed_form
+    closed_form: float
 
 
 def _pairing_ratio(phi: SymNormFunc, xi: np.ndarray, eta: np.ndarray) -> float:
@@ -229,77 +224,74 @@ def _dual_candidates(eta: np.ndarray, rng: np.random.Generator, extra: int):
         yield xi
 
 
-def _ascend(phi: SymNormFunc, eta: np.ndarray, delta0: np.ndarray) -> float:
-    """One constrained ascent run; always returns a valid lower bound.
+def _fixed_point_ratio(phi: SymNormFunc, eta: np.ndarray) -> float:
+    """Pairing ratio at the multiplicative fixed point of an ell^p gauge, 1 < p < inf.
 
-    The sorted cone is parametrised by nonnegative increments delta with
-    xi_j = sum_{i>=j} delta_i, so the pairing is linear in delta and the
-    feasible set {gauge(xi) <= 1} is convex.
+    The maximiser satisfies the KKT condition eta ~ grad phi(xi), with
+    grad phi(xi) = (xi / phi(xi))^(p-1).  The iteration is a relative of
+    D. W. Boyd's power method for ell^p norms (Linear Algebra Appl. 9, 1974):
+    xi <- xi (eta / grad phi(xi))^a, renormalised to max 1, taken in
+    logarithms on supp(eta) only: an entry of xi that starts at zero stays
+    zero, and grad phi is 0/0 there.  It starts from xi = eta.  The step a
+    halves until the ratio rises and then doubles back, capped at 1; the
+    iteration stops once the ratio stops rising.  The value returned is the
+    ratio of an actual xi >= 0, so it is a lower bound.  With a = 1 and p > 2
+    the update may reorder xi, which the permutation-invariant gauge allows.
     """
-    n = eta.size
-    csum = np.cumsum(eta)
-
-    def unpack(delta):
-        d = np.clip(delta, 0.0, None)
-        return np.cumsum(d[::-1])[::-1]
-
-    g0 = _gauge_raw(phi, unpack(delta0))
-    if g0 <= 0.0:
-        return 0.0
-    x0 = delta0 / g0
-
-    # Imported here, not at module level: scipy.optimize takes longer to
-    # import than the rest of the package, and only this estimate needs it.
-    from scipy.optimize import minimize
-
-    res = minimize(
-        lambda d: -float(np.dot(csum, np.clip(d, 0.0, None))),
-        x0,
-        jac=lambda d: -csum,
-        method="SLSQP",
-        bounds=[(0.0, None)] * n,
-        constraints=[{"type": "ineq",
-                      "fun": lambda d: 1.0 - _gauge_raw(phi, unpack(d))}],
-        options={"maxiter": _MAX_ITER, "ftol": ASCENT_FTOL},
-    )
-    return _pairing_ratio(phi, unpack(res.x), eta)
+    p = phi.p
+    eta = eta[eta > 0.0]
+    log_eta = np.log(eta)
+    log_xi = log_eta - log_eta.max()
+    xi = np.exp(log_xi)
+    ratio = _pairing_ratio(phi, xi, eta)
+    a = 1.0
+    for _ in range(DUAL_MAX_ITER):
+        log_grad = (p - 1.0) * (log_xi - math.log(_gauge_raw(phi, xi)))
+        direction = log_eta - log_grad
+        while True:
+            trial = log_xi + a * direction
+            trial -= trial.max()
+            xi_trial = np.exp(trial)
+            r = _pairing_ratio(phi, xi_trial, eta)
+            if r > ratio:
+                break
+            a /= 2.0
+            if a < DUAL_MIN_STEP:
+                return ratio
+        rise = r - ratio
+        log_xi, xi, ratio = trial, xi_trial, r
+        if rise <= DUAL_RISE_TOL * ratio:
+            break
+        a = min(1.0, 2.0 * a)
+    return ratio
 
 
 def adjoint_phi_eval(phi: SymNormFunc, eta, seed: int = 7) -> DualNormResult:
     """Dual gauge value: sup over sorted xi >= 0 of <xi, eta> / gauge(xi).
 
-    The numeric estimate is the best pairing ratio found over a canonical
-    candidate family followed by projected ascent restarts, so it converges
-    to the supremum from below.  For schatten gauges the exact ell^q value
-    (1/p + 1/q = 1) is returned alongside.  The seed fixes the random
-    candidates and ascent starts.
+    The numeric estimate is the best pairing ratio over a canonical
+    candidate family, which holds the maximiser of schatten:1,
+    schatten:inf and every kyfan:k (e1 and the flat prefixes), and, for
+    the other schatten gauges, the multiplicative fixed point of the KKT
+    condition.  It is a lower bound on the supremum, computed from the
+    gauge and its gradient alone.  The exact value is returned alongside:
+    ell^q (1/p + 1/q = 1) for schatten:p and max(eta_1, sum / k) for
+    kyfan:k (Bhatia, Matrix Analysis, ch. IV).  The seed fixes the random
+    candidates.
     """
     eta = _as_sequence(eta)
     if eta.values.size == 0 or eta.values[0] == 0.0:
         raise InputError("eta must be nonzero")
-    rng = np.random.default_rng(seed)
     ev = eta.values
+    rng = np.random.default_rng(seed)
+    best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev, rng, extra=4))
+    if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
+        best = max(best, _fixed_point_ratio(phi, ev))
 
-    best = 0.0
-    best_xi = None
-    for xi in _dual_candidates(ev, rng, extra=4):
-        r = _pairing_ratio(phi, xi, ev)
-        if r > best:
-            best, best_xi = r, xi
-
-    starts = []
-    if best_xi is not None:
-        delta = np.clip(np.append(-np.diff(best_xi), best_xi[-1]), 0.0, None)
-        starts.append(delta)
-    for _ in range(_RESTARTS):
-        starts.append(np.abs(rng.standard_normal(ev.size)))
-    for d0 in starts:
-        if d0.max() <= 0.0:
-            continue
-        best = max(best, _ascend(phi, ev, d0))
-
-    dg = dual_gauge(phi)
-    closed = phi_eval(dg, eta) if dg is not None else None
+    if phi.kind == "kyfan":
+        closed = max(float(ev[0]), float(ev.sum()) / phi.k)
+    else:
+        closed = phi_eval(dual_gauge(phi), eta)
     return DualNormResult(estimate=best, closed_form=closed)
 
 

@@ -3,6 +3,8 @@ every accept/reject threshold is defined here (see README, "Tolerances")."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError
@@ -36,6 +38,22 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 2005): halve a until ||a||_1 <= 1/2, sum the Taylor
+    series to degree 20 by Horner's rule, then square back."""
+    _, s = math.frexp(float(np.linalg.norm(a, 1)) / 0.5)
+    s = max(0, s)
+    x = a / 2.0 ** s
+    eye = np.eye(a.shape[0], dtype=x.dtype)
+    e = eye
+    for k in range(20, 0, -1):
+        e = eye + (x @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 COND_LIMIT = 1e12        # 2-norm condition number above which a matrix is singular
 SINGULAR_CLIP = 1e-13    # singular values below this times the largest are exact zeros
 UNITARY_TOL = 1e-12      # Frobenius residual of u* u = 1, per max(1, sqrt(n))
@@ -50,7 +68,9 @@ NULLITY_TOL = 1e-9       # commutant singular values relative to the largest
 GNS_TOL = 1e-10          # a mean given to the GNS construction: probability and invariance
 ZERO_TOL = 1e-12         # mean weights: a weight, imaginary or negative part, or sum - 1 is 0
 REPORT_TOL = 1e-9        # CLI report checks: nest membership of b, regular character match
-ASCENT_FTOL = 1e-9       # SLSQP stopping tolerance of the dual-gauge ascent
+DUAL_RISE_TOL = 1e-16    # dual fixed point stops once the pairing ratio rises less, relatively
+DUAL_MIN_STEP = 2.0 ** -20  # smallest step the dual fixed point tries before it stops
+DUAL_MAX_ITER = 1000     # iteration cap of the dual fixed point
 UNIT_NORM_TOL = 1e-12    # a dilation norm this close to 1 counts as 1 (index +inf)
 MAX_GROUP_ORDER = 1024   # largest finite group built; its table holds |G|^2 indices
 

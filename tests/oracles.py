@@ -4,15 +4,18 @@ Everything here is deliberately written by a different route than the
 package code: permuted Cholesky instead of block elimination, classical
 Gram-Schmidt instead of the Gram-matrix factorization, explicit
 permutation matrices and the dense Gram quotient for representations,
-element tuples for Cayley tables.
+element tuples for Cayley tables, and constrained SLSQP ascent instead of
+the dual gauge's fixed point.
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import minimize
 
 from opideal import Flag, UnitaryRep, project, symmetric_group
 from opideal.classical import _relations
+from opideal.symfunc import _dual_candidates, _gauge_raw, _pairing_ratio
 from opideal.utils import crandn, dagger, frob, opnorm
 
 GRAM_CLIP = 1e-12   # Gram weights below this times the largest span nothing
@@ -207,3 +210,52 @@ def s3_irreps():
         mats.append((basis.T @ perm_mat @ basis).astype(complex))
     std = UnitaryRep(s3, mats)
     return s3, [triv, sign, std]
+
+
+def _slsqp_ascent(phi, eta, delta0, max_iter, ftol):
+    """One constrained ascent run; always returns a valid lower bound.
+
+    The sorted cone is parametrised by nonnegative increments delta with
+    xi_j = sum_{i>=j} delta_i, so the pairing is linear in delta and the
+    feasible set {gauge(xi) <= 1} is convex.
+    """
+    n = eta.size
+    csum = np.cumsum(eta)
+
+    def unpack(delta):
+        d = np.clip(delta, 0.0, None)
+        return np.cumsum(d[::-1])[::-1]
+
+    g0 = _gauge_raw(phi, unpack(delta0))
+    if g0 <= 0.0:
+        return 0.0
+    res = minimize(
+        lambda d: -float(np.dot(csum, np.clip(d, 0.0, None))),
+        delta0 / g0,
+        jac=lambda d: -csum,
+        method="SLSQP",
+        bounds=[(0.0, None)] * n,
+        constraints=[{"type": "ineq",
+                      "fun": lambda d: 1.0 - _gauge_raw(phi, unpack(d))}],
+        options={"maxiter": max_iter, "ftol": ftol},
+    )
+    return _pairing_ratio(phi, unpack(res.x), eta)
+
+
+def slsqp_dual_ascent(phi, eta, seed=7, restarts=2, max_iter=80, ftol=1e-9):
+    """Lower bound on the dual gauge of a sorted eta by SLSQP over the sorted
+    cone: the best of the package's candidate family, then one ascent from
+    that candidate and ``restarts`` ascents from random starts."""
+    eta = np.asarray(eta, dtype=float)
+    rng = np.random.default_rng(seed)
+    best, best_xi = 0.0, None
+    for xi in _dual_candidates(eta, rng, extra=4):
+        r = _pairing_ratio(phi, xi, eta)
+        if r > best:
+            best, best_xi = r, xi
+    starts = [np.clip(np.append(-np.diff(best_xi), best_xi[-1]), 0.0, None)]
+    starts += [np.abs(rng.standard_normal(eta.size)) for _ in range(restarts)]
+    for d0 in starts:
+        if d0.max() > 0.0:
+            best = max(best, _slsqp_ascent(phi, eta, d0, max_iter, ftol))
+    return best

@@ -11,7 +11,7 @@ from opideal import (CLASSICAL_TYPES, DomainError, InputError,
                      iwasawa_decompose, random_group_element,
                      regular_eigenflag, validate_structure)
 from opideal.classical import StructureData
-from opideal.utils import crandn, dagger, frob
+from opideal.utils import crandn, dagger, expm as numpy_expm, frob, opnorm
 from oracles import algebra_membership_by_relations
 
 
@@ -103,6 +103,19 @@ def test_random_group_element_properties():
     assert frob(dagger(g1) @ st.v @ g1 - st.v) < 1e-9 * frob(g1) ** 2
     with pytest.raises(InputError):
         random_group_element("AIII", st, seed=5, radius=0.0)
+
+
+@pytest.mark.parametrize("typ", CLASSICAL_TYPES)
+@pytest.mark.parametrize("radius", [0.5, 3.0])
+def test_numpy_expm_matches_scipy_on_algebra_elements(typ, radius):
+    rng = np.random.default_rng([51, CLASSICAL_TYPES.index(typ)])
+    for n in (4, 6):
+        st = default_structure(typ, n)
+        for _ in range(3):
+            x = algebra_project(crandn(rng, n, n), typ, st)
+            x *= radius / opnorm(x)
+            exact = expm(x)
+            assert frob(numpy_expm(x) - exact) <= 1e-13 * frob(exact)
 
 
 def test_group_closure_under_product_and_inverse():

@@ -11,7 +11,9 @@ from opideal import (InputError, NonincreasingSequence,
                      SymNormFunc, adjoint_phi_eval, boyd_estimate, contract,
                      dilate, dilation_norm, dual_gauge, phi_eval, phi_norm,
                      singular_values)
+from opideal.symfunc import _fixed_point_ratio
 from opideal.utils import crandn, dagger
+from oracles import slsqp_dual_ascent
 
 
 def test_sequence_validation():
@@ -119,8 +121,8 @@ def test_dual_kyfan_numeric_against_formula():
     for k in (1, 2, 3):
         eta = np.sort(rng.uniform(0.1, 2.0, 8))[::-1]
         res = adjoint_phi_eval(SymNormFunc.kyfan(k), eta)
-        assert res.closed_form is None
         expected = max(eta[0], eta.sum() / k)
+        assert res.closed_form == pytest.approx(expected, rel=1e-12)
         assert res.estimate == pytest.approx(expected, rel=1e-6)
 
 
@@ -130,8 +132,8 @@ def test_dual_rejects_zero():
 
 
 def test_dual_ascent_converges_off_grid_exponents():
-    # exponents whose maximiser is not among the candidate starts, so the
-    # constrained ascent has to do the work; default tolerance must hold
+    # exponents whose maximiser is not among the candidates, so the fixed
+    # point has to do the work; default tolerance must hold
     rng = np.random.default_rng(31)
     for p in (1.2, 1.5, 5.0):
         for _ in range(5):
@@ -140,6 +142,51 @@ def test_dual_ascent_converges_off_grid_exponents():
             res = adjoint_phi_eval(SymNormFunc.schatten(p), eta)
             assert abs(res.estimate - res.closed_form) <= 1e-9 * res.closed_form
             assert res.estimate <= res.closed_form * (1 + 1e-12)   # lower bound
+
+
+def _lq_dual(p, eta):
+    q = p / (p - 1.0)
+    return float(np.power(eta, q).sum() ** (1.0 / q))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("length", [1, 8, 64, 256, 4096])
+def test_dual_fixed_point_reaches_lq_value(p, length):
+    # the fixed point alone, and the estimate it feeds, against the exact
+    # ell^q value: within 1e-12 and never above it by more
+    phi = SymNormFunc.schatten(p)
+    rng = np.random.default_rng([41, length])
+    eta = np.sort(rng.exponential(size=length))[::-1]
+    exact = _lq_dual(p, eta)
+    for value in (_fixed_point_ratio(phi, eta), adjoint_phi_eval(phi, eta).estimate):
+        assert abs(value - exact) <= 1e-12 * exact
+        assert value <= exact * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("eta", [[3.0, 2.0, 0.0, 0.0], [1.0, 0.0], [2.5]])
+def test_dual_fixed_point_on_support(p, eta):
+    # entries of eta that are zero carry no weight: the fixed point runs on
+    # the support, and a length-1 eta is its own dual value
+    phi = SymNormFunc.schatten(p)
+    eta = np.array(eta)
+    exact = _lq_dual(p, eta)
+    for value in (_fixed_point_ratio(phi, eta), adjoint_phi_eval(phi, eta).estimate):
+        assert abs(value - exact) <= 1e-12 * exact
+
+
+def test_dual_estimate_not_below_slsqp_oracle():
+    # criterion 1's case family: the estimate is at least the constrained
+    # SLSQP ascent's value, up to rounding
+    rng = np.random.default_rng(20240901)
+    for _ in range(100):
+        length = int(rng.integers(2, 17))
+        eta = np.sort(np.abs(rng.standard_normal(length)))[::-1]
+        eta[0] = max(eta[0], 1e-3)
+        for p in (1.0, 2.0, 3.0):
+            phi = SymNormFunc.schatten(p)
+            oracle = slsqp_dual_ascent(phi, eta)
+            assert adjoint_phi_eval(phi, eta).estimate >= oracle * (1 - 1e-12)
 
 
 def test_dilate_contract_examples():
