@@ -20,6 +20,7 @@ general linear case, and a commutant-based irreducibility test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,170 +51,187 @@ __all__ = [
     "irreducibility_check",
 ]
 
-CLASSICAL_TYPES = ("A", "B", "C", "AI", "AII", "AIII", "BI", "BII", "CI", "CII")
 
-_EVEN_TYPES = frozenset({"C", "AII", "BII", "CI", "CII"})
-_NEEDS = {
-    "A": (),
-    "B": ("conj",),
-    "C": ("anti",),
-    "AI": ("conj",),
-    "AII": ("anti",),
-    "AIII": ("signature",),
-    "BI": ("conj", "signature"),
-    "BII": ("conj", "anti"),
-    "CI": ("conj", "anti"),
-    "CII": ("anti", "signature"),
+class _Relation(NamedTuple):
+    """One defining relation: the structure matrix it reads (a StructureData
+    attribute), its group residual, the power of ||g|| that scales that
+    residual, and the R-linear involution of the Lie algebra it fixes."""
+
+    matrix: str
+    residual: Callable[[np.ndarray, np.ndarray], float]
+    power: int
+    involution: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+# The antilinear structure maps, by StructureData attribute: C conj(C), and
+# the map's article and name.
+_ANTILINEAR = {"c_conj": (1, "a", "conjugation"),
+               "c_anti": (-1, "an", "anti-conjugation")}
+
+
+def _antilinear(attr: str) -> _Relation:
+    """g C = C conj(g), whose involution x -> C conj(x) C^{-1} has
+    C^{-1} = sign conj(C), sign the map's square."""
+    sign = float(_ANTILINEAR[attr][0])
+    return _Relation(attr, lambda g, c: frob(g @ c - c @ g.conj()), 1,
+                     lambda x, c: sign * (c @ x.conj() @ c.conj()))
+
+
+_RELATIONS = {
+    # g^{-1} = C g^T conj(C)
+    "orth": _Relation("c_conj",
+                      lambda g, c: frob(g @ (c @ g.T @ c.conj()) - np.eye(g.shape[0])),
+                      2, lambda x, c: -c @ x.T @ c.conj()),
+    # g^{-1} = -Ca g^T conj(Ca)
+    "symp": _Relation("c_anti",
+                      lambda g, c: frob(g @ (c @ g.T @ c.conj()) + np.eye(g.shape[0])),
+                      2, lambda x, c: c @ x.T @ c.conj()),
+    "real": _antilinear("c_conj"),
+    "quat": _antilinear("c_anti"),
+    # g* V g = V
+    "iu": _Relation("v", lambda g, c: frob(dagger(g) @ c @ g - c),
+                    2, lambda x, c: -c @ dagger(x) @ c),
 }
+
+# The defining relations of each type, in the order algebra_project averages over them.
+_TYPE_RELATIONS = {
+    "A": (),
+    "B": ("orth",),
+    "C": ("symp",),
+    "AI": ("real",),
+    "AII": ("quat",),
+    "AIII": ("iu",),
+    "BI": ("orth", "iu"),
+    "BII": ("orth", "quat"),
+    "CI": ("symp", "real"),
+    "CII": ("symp", "iu"),
+}
+
+CLASSICAL_TYPES = tuple(_TYPE_RELATIONS)
 
 
 @dataclass(frozen=True)
 class StructureData:
-    """Conjugation / anti-conjugation matrices and signature for one type.
+    """Conjugation / anti-conjugation matrices and signature split for one type.
 
     ``c_conj`` realises the conjugation, ``c_anti`` the anti-conjugation,
-    ``v`` is the diag(+1...,-1...) signature with ``split`` giving the two
-    block sizes.  Absent pieces are None.
+    and ``split`` gives the sizes of the +1 and -1 blocks of the signature
+    ``v``.  Absent pieces are None.
     """
 
     n: int
     c_conj: np.ndarray | None = None
     c_anti: np.ndarray | None = None
-    v: np.ndarray | None = None
     split: tuple[int, int] | None = None
 
+    @property
+    def v(self) -> np.ndarray | None:
+        """The signature diag(+1...,-1...) of the split."""
+        if self.split is None:
+            return None
+        p, q = self.split
+        return np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
 
-def _symplectic_form(n: int) -> np.ndarray:
-    m = n // 2
+
+def _reads(typ: str, n: int) -> set[str]:
+    """The structure matrices the type's relations read.  Rejects an unknown
+    type, and an odd n for a type with an anti-conjugation."""
+    if typ not in _TYPE_RELATIONS:
+        raise InputError(f"unknown classical type {typ!r}")
+    reads = {_RELATIONS[name].matrix for name in _TYPE_RELATIONS[typ]}
+    if "c_anti" in reads and n % 2:
+        raise InputError(f"type {typ} needs even dimension, got n={n}")
+    return reads
+
+
+def _check_split(split, n: int) -> None:
+    p, q = split
+    if p + q != n or p < 1 or q < 1:
+        raise InputError(f"split {split} does not partition dimension {n}")
+
+
+def _symplectic_form(blocks) -> np.ndarray:
+    """Direct sum of the standard symplectic forms on consecutive blocks of
+    the given even sizes."""
+    n = sum(blocks)
     w = np.zeros((n, n), dtype=complex)
-    w[:m, m:] = np.eye(m)
-    w[m:, :m] = -np.eye(m)
+    start = 0
+    for size in blocks:
+        mid, end = start + size // 2, start + size
+        w[start:mid, mid:end] = np.eye(size // 2)
+        w[mid:end, start:mid] = -np.eye(size // 2)
+        start = end
     return w
 
 
 def default_structure(typ: str, n: int, split=None) -> StructureData:
     """Standard structure matrices for a type: identity conjugation, the
-    standard symplectic form (split per block for CII), diag(+1,-1) signature."""
-    if typ not in CLASSICAL_TYPES:
-        raise InputError(f"unknown classical type {typ!r}")
-    if typ in _EVEN_TYPES and n % 2:
-        raise InputError(f"type {typ} needs even dimension, got n={n}")
-    needs = _NEEDS[typ]
-    c_conj = np.eye(n, dtype=complex) if "conj" in needs else None
+    standard symplectic form and the split (n - n//2, n//2).  When the
+    anti-conjugation must preserve both signature blocks (CII) the default
+    split is (2 (n//4), n - 2 (n//4)) and the form is taken per block.
+    Types without a signature ignore ``split``."""
+    reads = _reads(typ, n)
+    c_conj = np.eye(n, dtype=complex) if "c_conj" in reads else None
     c_anti = None
-    v = None
-    if "signature" in needs:
+    blocks = (n,)
+    if "v" in reads:
         if split is None:
-            if typ == "CII":
-                p = 2 * (n // 4)
-                split = (p, n - p)
-            else:
-                split = (n - n // 2, n // 2)
+            p = 2 * (n // 4) if "c_anti" in reads else n - n // 2
+            split = (p, n - p)
         split = (int(split[0]), int(split[1]))
-        if split[0] + split[1] != n or split[0] < 1 or split[1] < 1:
-            raise InputError(f"split {split} does not partition dimension {n}")
-        v = np.diag(np.concatenate([np.ones(split[0]), -np.ones(split[1])])
-                    ).astype(complex)
-    if "anti" in needs:
-        if typ == "CII":
-            p, q = split
-            if p % 2 or q % 2:
-                raise InputError(
-                    f"type CII needs even split components, got {split}")
-            c_anti = np.zeros((n, n), dtype=complex)
-            c_anti[:p, :p] = _symplectic_form(p)
-            c_anti[p:, p:] = _symplectic_form(q)
-        else:
-            c_anti = _symplectic_form(n)
-    return StructureData(n=n, c_conj=c_conj, c_anti=c_anti, v=v, split=split)
+        _check_split(split, n)
+        blocks = split
+    else:
+        split = None
+    if "c_anti" in reads:
+        if any(size % 2 for size in blocks):
+            raise InputError(f"type {typ} needs even split components, got {split}")
+        c_anti = _symplectic_form(blocks)
+    return StructureData(n=n, c_conj=c_conj, c_anti=c_anti, split=split)
 
 
 def validate_structure(typ: str, structure: StructureData) -> None:
-    """Check the structure matrices satisfy the invariants of the type."""
-    if typ not in CLASSICAL_TYPES:
-        raise InputError(f"unknown classical type {typ!r}")
+    """Check the structure matrices satisfy the invariants of the type: each
+    (anti-)conjugation is unitary and squares to +1 (-1), the split
+    partitions n, a conjugation and an anti-conjugation commute, and each
+    preserves both signature blocks."""
     n = structure.n
-    if typ in _EVEN_TYPES and n % 2:
-        raise InputError(f"type {typ} needs even dimension, got n={n}")
-    needs = _NEEDS[typ]
+    reads = _reads(typ, n)
     eye = np.eye(n)
     scale = unitary_bound(n)
-
-    def _unitary(c, name):
-        c = as_matrix(c, square=True, name=name)
+    maps = {}
+    for attr, (square, article, what) in _ANTILINEAR.items():
+        if attr not in reads:
+            continue
+        c = getattr(structure, attr)
+        if c is None:
+            raise InputError(f"type {typ} needs {article} {what} matrix")
+        c = as_matrix(c, square=True, name=attr)
         if c.shape[0] != n:
-            raise InputError(f"{name} has dimension {c.shape[0]}, expected {n}")
+            raise InputError(f"{attr} has dimension {c.shape[0]}, expected {n}")
         if not is_unitary(c):
-            raise InputError(f"{name} must be unitary")
-        return c
-
-    if "conj" in needs:
-        if structure.c_conj is None:
-            raise InputError(f"type {typ} needs a conjugation matrix")
-        c = _unitary(structure.c_conj, "c_conj")
-        if frob(c @ c.conj() - eye) > scale:
-            raise InputError("conjugation must square to +1 (C conj(C) = 1)")
-    if "anti" in needs:
-        if structure.c_anti is None:
-            raise InputError(f"type {typ} needs an anti-conjugation matrix")
-        ca = _unitary(structure.c_anti, "c_anti")
-        if frob(ca @ ca.conj() + eye) > scale:
-            raise InputError("anti-conjugation must square to -1 (C conj(C) = -1)")
-    if "signature" in needs:
-        if structure.v is None or structure.split is None:
+            raise InputError(f"{attr} must be unitary")
+        if frob(c @ c.conj() - square * eye) > scale:
+            raise InputError(f"{what} must square to {square:+d} (C conj(C) = {square})")
+        maps[what] = c
+    if "v" in reads:
+        if structure.split is None:
             raise InputError(f"type {typ} needs a signature matrix and split")
-        v = as_matrix(structure.v, square=True, name="v")
-        p, q = structure.split
-        want = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-        if p + q != n or frob(v - want) > scale:
-            raise InputError("v must be diag(+1...,-1...) matching the split")
-
-    # compatibility between pieces
-    if typ == "BI":
-        p, q = structure.split
-        c = structure.c_conj
-        if frob(c[p:, :p]) + frob(c[:p, p:]) > scale:
-            raise InputError("type BI needs the conjugation to preserve both blocks")
-    if typ in ("BII", "CI"):
-        c, ca = structure.c_conj, structure.c_anti
+        _check_split(structure.split, n)
+        p = structure.split[0]
+        for what, c in maps.items():
+            if frob(c[p:, :p]) + frob(c[:p, p:]) > scale:
+                raise InputError(f"type {typ} needs the {what} to preserve both blocks")
+    if len(maps) == 2:
+        c, ca = maps.values()
         if frob(c @ ca.conj() - ca @ c.conj()) > scale:
             raise InputError(f"type {typ} needs commuting (anti-)conjugations")
-    if typ == "CII":
-        p, q = structure.split
-        ca = structure.c_anti
-        if frob(ca[p:, :p]) + frob(ca[:p, p:]) > scale:
-            raise InputError("type CII needs the anti-conjugation to preserve both blocks")
 
 
 def _relations(typ: str, structure: StructureData):
     """The defining relations of a type as (name, structure matrix) pairs."""
-    rel = []
-    if typ in ("B", "BI", "BII"):
-        rel.append(("orth", structure.c_conj))
-    if typ in ("C", "CI", "CII"):
-        rel.append(("symp", structure.c_anti))
-    if typ in ("AI", "CI"):
-        rel.append(("real", structure.c_conj))
-    if typ in ("AII", "BII"):
-        rel.append(("quat", structure.c_anti))
-    if typ in ("AIII", "BI", "CII"):
-        rel.append(("iu", structure.v))
-    return rel
-
-
-def _group_residual(name: str, c: np.ndarray, g: np.ndarray):
-    eye = np.eye(g.shape[0])
-    nrm = opnorm(g)
-    if name == "orth":       # g^{-1} = C g^T conj(C)
-        return frob(g @ (c @ g.T @ c.conj()) - eye), max(1.0, nrm**2)
-    if name == "symp":       # g^{-1} = -Ca g^T conj(Ca)
-        return frob(g @ (c @ g.T @ c.conj()) + eye), max(1.0, nrm**2)
-    if name == "real":       # g C = C conj(g)
-        return frob(g @ c - c @ g.conj()), max(1.0, nrm)
-    if name == "quat":       # g Ca = Ca conj(g)
-        return frob(g @ c - c @ g.conj()), max(1.0, nrm)
-    # "iu": g* V g = V
-    return frob(dagger(g) @ c @ g - c), max(1.0, nrm**2)
+    return [(name, getattr(structure, _RELATIONS[name].matrix))
+            for name in _TYPE_RELATIONS[typ]]
 
 
 def _resolve(typ: str, x: np.ndarray, structure: StructureData | None):
@@ -233,40 +251,25 @@ def algebra_membership(x, typ: str, structure: StructureData | None = None,
     x = as_matrix(x, square=True)
     structure = _resolve(typ, x, structure)
     rootn = np.sqrt(x.shape[0])
-    return all(frob(x - theta(x)) <= tol * max(1.0, opnorm(x)) * rootn
-               for theta in _involutions(typ, structure))
+    return all(frob(x - _RELATIONS[name].involution(x, c))
+               <= tol * max(1.0, opnorm(x)) * rootn
+               for name, c in _relations(typ, structure))
 
 
 def group_membership(g, typ: str, structure: StructureData | None = None,
                      tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether g is invertible and satisfies all group relations of the type."""
+    """Whether g is invertible and satisfies all group relations of the type:
+    each residual within tol scaled by max(1, ||g||^power) sqrt(n)."""
     g = as_matrix(g, square=True)
     structure = _resolve(typ, g, structure)
     if is_singular(cond2(g)):
         return False
+    relations = _relations(typ, structure)
+    nrm = opnorm(g) if relations else 0.0
     rootn = np.sqrt(g.shape[0])
-    for name, c in _relations(typ, structure):
-        res, scale = _group_residual(name, c, g)
-        if res > tol * scale * rootn:
-            return False
-    return True
-
-
-def _involutions(typ: str, structure: StructureData):
-    """R-linear involutions whose joint fixed set is the type's Lie algebra."""
-    thetas = []
-    for name, c in _relations(typ, structure):
-        if name == "orth":
-            thetas.append(lambda x, c=c: -c @ x.T @ c.conj())
-        elif name == "symp":
-            thetas.append(lambda x, c=c: c @ x.T @ c.conj())
-        elif name in ("real", "quat"):
-            # fixed set of x -> C conj(x) C^{-1}; C^{-1} = conj(C) resp. -conj(C)
-            sign = 1.0 if name == "real" else -1.0
-            thetas.append(lambda x, c=c, s=sign: s * (c @ x.conj() @ c.conj()))
-        else:  # "iu"
-            thetas.append(lambda x, c=c: -c @ dagger(x) @ c)
-    return thetas
+    return all(_RELATIONS[name].residual(g, c)
+               <= tol * max(1.0, nrm ** _RELATIONS[name].power) * rootn
+               for name, c in relations)
 
 
 def algebra_project(x, typ: str,
@@ -276,27 +279,22 @@ def algebra_project(x, typ: str,
     x = as_matrix(x, square=True)
     structure = _resolve(typ, x, structure)
     terms = [x]
-    for theta in _involutions(typ, structure):
-        terms = terms + [theta(t) for t in terms]
+    for name, c in _relations(typ, structure):
+        theta = _RELATIONS[name].involution
+        terms = terms + [theta(t, c) for t in terms]
     return sum(terms) / len(terms)
 
 
-def random_group_element(typ: str, structure: StructureData | None = None,
-                         seed: int = 0, radius: float = 0.5, n: int | None = None,
-                         factors: int = 2) -> np.ndarray:
-    """Deterministic sample: a product of exponentials of radius-scaled
+def random_group_element(typ: str, structure: StructureData, seed: int = 0,
+                         radius: float = 0.5) -> np.ndarray:
+    """Deterministic sample: the product of two exponentials of radius-scaled
     projected algebra elements.  Stays in the identity component."""
     if radius <= 0:
         raise InputError("radius must be positive")
-    if structure is None:
-        if n is None:
-            raise InputError("give either a structure or the dimension n")
-        structure = default_structure(typ, n)
-    validate_structure(typ, structure)
     dim = structure.n
     rng = np.random.default_rng(seed)
     g = np.eye(dim, dtype=complex)
-    for _ in range(max(1, factors)):
+    for _ in range(2):
         x = algebra_project(crandn(rng, dim, dim), typ, structure)
         nrm = opnorm(x)
         if nrm > 0.0:
@@ -312,23 +310,19 @@ class CartanFactors:
     x: np.ndarray
 
 
-def _eigh_fun(h: np.ndarray, fun) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return v @ np.diag(fun(w)) @ dagger(v)
-
-
 def cartan_decompose(g, typ: str,
                      structure: StructureData | None = None) -> CartanFactors:
     """Polar split g = k exp(x) with k unitary in the group and x Hermitian
-    in the algebra: x = log(g* g) / 2 via Hermitian eigendecomposition."""
+    in the algebra: with g* g = V diag(w) V*, x = V diag(log(w) / 2) V* and
+    k = g V diag(w^(-1/2)) V*."""
     g = as_matrix(g, square=True)
     structure = _resolve(typ, g, structure)
     if not group_membership(g, typ, structure, tol=CARTAN_TOL):
         raise DomainError(f"matrix fails the {typ} group relations at tol {CARTAN_TOL:g}")
-    a = dagger(g) @ g
-    x = _eigh_fun(a, lambda w: 0.5 * np.log(w))
-    k = g @ _eigh_fun(a, lambda w: w**-0.5)
-    return CartanFactors(k=k, x=x)
+    w, v = np.linalg.eigh(dagger(g) @ g)
+    vh = dagger(v)
+    return CartanFactors(k=g @ (v @ np.diag(w**-0.5) @ vh),
+                         x=v @ np.diag(0.5 * np.log(w)) @ vh)
 
 
 def cartan_involution(g) -> np.ndarray:

@@ -54,10 +54,6 @@ def _rel(delta, ref) -> float:
     return float(delta / ref) if ref > 0 else float(delta)
 
 
-def _mat(m) -> dict:
-    return serialize.matrix_to_obj(m)
-
-
 def _flag_for(args, n: int) -> nest.Flag:
     if getattr(args, "flag", None):
         flag = serialize.load_flag(args.flag)
@@ -118,9 +114,9 @@ def _cmd_truncate(args):
     low = nest.truncate_lower(part, x)
     return {
         "cuts": list(part.cuts),
-        "diag": _mat(d),
-        "upper": _mat(u),
-        "lower": _mat(low),
+        "diag": serialize.matrix_to_obj(d),
+        "upper": serialize.matrix_to_obj(u),
+        "lower": serialize.matrix_to_obj(low),
         "residuals": {"sum": _rel(frob(d + u + low - x), frob(x))},
     }
 
@@ -131,9 +127,9 @@ def _cmd_integral(args):
     low, d, u = nest.triangular_integral(flag, x)
     part = nest.Partition.maximal(flag)
     return {
-        "lower": _mat(low),
-        "diag": _mat(d),
-        "upper": _mat(u),
+        "lower": serialize.matrix_to_obj(low),
+        "diag": serialize.matrix_to_obj(d),
+        "upper": serialize.matrix_to_obj(u),
         "residuals": {
             "sum": _rel(frob(low + d + u - x), frob(x)),
             "adjoint_lower": frob(nest.truncate_lower(part, dagger(x)) - dagger(u)),
@@ -151,8 +147,8 @@ def _cmd_ldl_nest(args):
     recon = (eye + factors.r) @ factors.d @ dagger(eye + factors.r)
     return {
         "cuts": list(part.cuts),
-        "r": _mat(factors.r),
-        "d": _mat(factors.d),
+        "r": serialize.matrix_to_obj(factors.r),
+        "d": serialize.matrix_to_obj(factors.d),
         "residuals": {
             "reconstruction": _rel(frob(recon - a), frob(a)),
             "strict_upper": frob(nest.truncate_upper(part, factors.r) - factors.r),
@@ -167,8 +163,8 @@ def _cmd_qr_nest(args):
     factors = factor.qb_nest(g, flag)
     eye = np.eye(g.shape[0])
     return {
-        "u": _mat(factors.u),
-        "b": _mat(factors.b),
+        "u": serialize.matrix_to_obj(factors.u),
+        "b": serialize.matrix_to_obj(factors.b),
         "residuals": {
             "reconstruction": _rel(frob(factors.u @ factors.b - g), frob(g)),
             "unitarity": frob(dagger(factors.u) @ factors.u - eye),
@@ -183,12 +179,13 @@ def _cmd_cartan(args):
     split = _parse_split(args.split) if args.split else None
     structure = classical.default_structure(args.type, g.shape[0], split=split)
     factors = classical.cartan_decompose(g, args.type, structure)
-    expx = classical._eigh_fun(factors.x, np.exp)
+    w, v = np.linalg.eigh(factors.x)
+    expx = v @ np.diag(np.exp(w)) @ dagger(v)
     eye = np.eye(g.shape[0])
     return {
         "type": args.type,
-        "k": _mat(factors.k),
-        "x": _mat(factors.x),
+        "k": serialize.matrix_to_obj(factors.k),
+        "x": serialize.matrix_to_obj(factors.x),
         "residuals": {
             "reconstruction": _rel(frob(factors.k @ expx - g), frob(g)),
             "k_unitarity": frob(dagger(factors.k) @ factors.k - eye),
@@ -207,9 +204,9 @@ def _cmd_iwasawa(args):
     factors = classical.iwasawa_decompose(g, x0)
     eye = np.eye(g.shape[0])
     return {
-        "k": _mat(factors.k),
-        "a": _mat(factors.a),
-        "n": _mat(factors.n),
+        "k": serialize.matrix_to_obj(factors.k),
+        "a": serialize.matrix_to_obj(factors.a),
+        "n": serialize.matrix_to_obj(factors.n),
         "residuals": {
             "reconstruction": _rel(frob(factors.k @ factors.a @ factors.n - g), frob(g)),
             "k_unitarity": frob(dagger(factors.k) @ factors.k - eye),
@@ -227,17 +224,17 @@ def _cmd_hc(args):
              @ factors.kappa
              @ harish.lower_unipotent(factors.zminus, split))
     report = {
-        "zplus": _mat(factors.zplus),
-        "kappa": _mat(factors.kappa),
-        "zminus": _mat(factors.zminus),
+        "zplus": serialize.matrix_to_obj(factors.zplus),
+        "kappa": serialize.matrix_to_obj(factors.kappa),
+        "zminus": serialize.matrix_to_obj(factors.zminus),
         "residuals": {"reconstruction": _rel(frob(recon - g), frob(g))},
     }
     if args.z:
         z = serialize.load_matrix(args.z)
         report["domain"] = harish.hc_domain_test(g, z, split)
         if report["domain"]:
-            report["action"] = _mat(harish.hc_action(g, z, split))
-            report["cocycle"] = _mat(harish.hc_cocycle(g, z, split))
+            report["action"] = serialize.matrix_to_obj(harish.hc_action(g, z, split))
+            report["cocycle"] = serialize.matrix_to_obj(harish.hc_cocycle(g, z, split))
     return report
 
 
@@ -264,7 +261,7 @@ def _cmd_gns(args):
         "group": group.name or args.group,
         "dim": rep.dim,
         "character": serialize.complex_to_pairs(char),
-        "matches_regular_character": bool(np.allclose(char, regular, atol=REPORT_TOL)),
+        "matches_regular_character": bool(np.array_equal(char, regular)),
     }
 
 
@@ -382,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="z<n>, d<n>, s3, s4, q8, trivial, or JSON path")
 
     p = add("gns", _cmd_gns,
-            "Regular representation built from the uniform mean via the "
-            "Gram-quotient construction; reports its character.")
+            "Regular representation attached to the uniform mean: left "
+            "translation on the group's elements; reports its character.")
     p.add_argument("--group", required=True)
 
     p = add("arens", _cmd_arens,

@@ -73,9 +73,12 @@ class Flag:
 
 
 class Partition:
-    """A finite subchain of a flag's dimensions, always containing n."""
+    """A finite subchain of a flag's dimensions, always containing n.
 
-    __slots__ = ("flag", "cuts")
+    ``index[i]`` is the block holding adapted coordinate i.
+    """
+
+    __slots__ = ("flag", "cuts", "index")
 
     def __init__(self, flag: Flag, cuts):
         cuts = tuple(sorted({int(c) for c in cuts}))
@@ -89,6 +92,8 @@ class Partition:
             raise InputError("partition must contain the full dimension n")
         self.flag = flag
         self.cuts = cuts
+        self.index = np.repeat(np.arange(len(cuts)), np.diff((0,) + cuts))
+        self.index.flags.writeable = False
 
     @classmethod
     def maximal(cls, flag: Flag) -> "Partition":
@@ -123,20 +128,12 @@ def project(flag: Flag, k: int) -> np.ndarray:
     return b @ dagger(b)
 
 
-def _block_index(partition: Partition) -> np.ndarray:
-    idx = np.empty(partition.flag.n, dtype=int)
-    bounds = partition.bounds
-    for i in range(partition.block_count):
-        idx[bounds[i]:bounds[i + 1]] = i
-    return idx
-
-
 def _truncate(partition: Partition, x, cmp: str) -> np.ndarray:
     x = as_matrix(x, square=True)
     flag = partition.flag
     if x.shape[0] != flag.n:
         raise InputError(f"matrix dimension {x.shape[0]} does not match flag n={flag.n}")
-    idx = _block_index(partition)
+    idx = partition.index
     if cmp == "diag":
         mask = idx[:, None] == idx[None, :]
     elif cmp == "upper":
@@ -201,7 +198,7 @@ def is_in_nest_algebra(b, flag: Flag, tol: float = NEST_TOL) -> bool:
     if b.shape[0] != flag.n:
         raise InputError(f"matrix dimension {b.shape[0]} does not match flag n={flag.n}")
     y = flag.to_adapted(b)
-    idx = _block_index(Partition.maximal(flag))
+    idx = Partition.maximal(flag).index
     if frob(np.where(idx[:, None] > idx[None, :], y, 0.0)) <= tol:
         return True
     return all(opnorm(y[k:, :k]) <= tol for k in flag.dims)

@@ -12,6 +12,7 @@ a finite scan over block dilations.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,9 @@ import numpy as np
 from .errors import InputError
 from .utils import (DUAL_MAX_ITER, DUAL_MIN_STEP, DUAL_RISE_TOL, SINGULAR_CLIP,
                     UNIT_NORM_TOL, as_matrix)
+
+_TINY = np.finfo(float).tiny    # smallest normal float
+_RANDOM_CANDIDATES = 4          # random sorted trial vectors of the dual estimate
 
 __all__ = [
     "NonincreasingSequence",
@@ -140,19 +144,29 @@ class SymNormFunc:
 
 
 def _gauge_raw(phi: SymNormFunc, v: np.ndarray) -> float:
-    """Evaluate the gauge on a raw nonnegative, nonincreasing array."""
+    """Evaluate the gauge on a raw nonnegative, nonincreasing array.
+
+    An ell^p sum of powers outside the normal floating-point range is
+    recomputed on v scaled by its largest entry, so entries far above 1
+    do not overflow to inf and entries far below 1 do not underflow to 0.
+    """
     if v.size == 0:
         return 0.0
-    if phi.kind == "schatten":
-        p = phi.p
-        if math.isinf(p):
-            return float(v[0])
-        if p == 1.0:
-            return float(v.sum())
-        if p == 2.0:
-            return float(np.sqrt(np.square(v).sum()))
-        return float(np.power(v, p).sum() ** (1.0 / p))
-    return float(v[: phi.k].sum())
+    if phi.kind == "kyfan":
+        return float(v[: phi.k].sum())
+    p = phi.p
+    if math.isinf(p):
+        return float(v[0])
+    if p == 1.0:
+        return float(v.sum())
+    # Only entries above 1 can overflow.  Entering np.errstate costs about
+    # 1.4 us, a tenth of boyd_estimate's time over its ~33k gauge calls.
+    with np.errstate(over="ignore") if v[0] > 1.0 else contextlib.nullcontext():
+        total = np.square(v).sum() if p == 2.0 else np.power(v, p).sum()
+    if _TINY <= total < math.inf:
+        return float(np.sqrt(total) if p == 2.0 else total ** (1.0 / p))
+    top = float(v.max())
+    return top * _gauge_raw(phi, v / top) if top > 0.0 else 0.0
 
 
 def phi_eval(phi: SymNormFunc, xi) -> float:
@@ -205,23 +219,24 @@ def _pairing_ratio(phi: SymNormFunc, xi: np.ndarray, eta: np.ndarray) -> float:
     return float(np.dot(xi, eta)) / g
 
 
-def _dual_candidates(eta: np.ndarray, rng: np.random.Generator, extra: int):
-    """Deterministic and random sorted trial vectors for the dual maximisation."""
+def _dual_candidates(eta: np.ndarray, rng: np.random.Generator):
+    """Deterministic and random sorted trial vectors for the dual maximisation.
+
+    e1 and the all-ones vector hold the maximiser of schatten:1,
+    schatten:inf and every kyfan:k; no other flat prefix does better.
+    """
     n = eta.size
     e1 = np.zeros(n)
     e1[0] = 1.0
     yield e1
-    for j in range(1, n + 1):           # flat prefixes (1,...,1,0,...,0)
-        flat = np.zeros(n)
-        flat[:j] = 1.0
-        yield flat
+    if n > 1:
+        yield np.ones(n)
     for t in (1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0):   # power-law shadows of eta
         xi = np.power(eta, t, where=eta > 0, out=np.zeros_like(eta))
         if xi.max() > 0:
             yield xi
-    for _ in range(extra):
-        xi = np.sort(np.abs(rng.standard_normal(n)))[::-1]
-        yield xi
+    for _ in range(_RANDOM_CANDIDATES):
+        yield np.sort(np.abs(rng.standard_normal(n)))[::-1]
 
 
 def _fixed_point_ratio(phi: SymNormFunc, eta: np.ndarray) -> float:
@@ -271,7 +286,7 @@ def adjoint_phi_eval(phi: SymNormFunc, eta, seed: int = 7) -> DualNormResult:
 
     The numeric estimate is the best pairing ratio over a canonical
     candidate family, which holds the maximiser of schatten:1,
-    schatten:inf and every kyfan:k (e1 and the flat prefixes), and, for
+    schatten:inf and every kyfan:k (e1 and the all-ones vector), and, for
     the other schatten gauges, the multiplicative fixed point of the KKT
     condition.  It is a lower bound on the supremum, computed from the
     gauge and its gradient alone.  The exact value is returned alongside:
@@ -284,7 +299,7 @@ def adjoint_phi_eval(phi: SymNormFunc, eta, seed: int = 7) -> DualNormResult:
         raise InputError("eta must be nonzero")
     ev = eta.values
     rng = np.random.default_rng(seed)
-    best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev, rng, extra=4))
+    best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev, rng))
     if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
         best = max(best, _fixed_point_ratio(phi, ev))
 
@@ -319,11 +334,9 @@ def contract(m: int, xi) -> NonincreasingSequence:
     return NonincreasingSequence(_average(_as_sequence(xi).values, _as_block(m)))
 
 
-def _test_sequences(seq_len: int, block: int, rng: np.random.Generator):
+def _test_sequences(seq_len: int, rng: np.random.Generator):
     """Canonical probe family on which the dilation norms are maximised."""
     for j in range(1, seq_len + 1):
-        yield np.ones(j)
-    for j in range(block, seq_len + 1, block):    # exact multiples of the block
         yield np.ones(j)
     e1 = np.zeros(max(1, min(seq_len, 4)))
     e1[0] = 1.0
@@ -341,7 +354,7 @@ def _probe_norm(phi: SymNormFunc, op, m: int, seq_len: int,
                 rng: np.random.Generator) -> float:
     """Largest gauge ratio of op(v, m) to v over the probe sequences."""
     best = 0.0
-    for v in _test_sequences(seq_len, m, rng):
+    for v in _test_sequences(seq_len, rng):
         g = _gauge_raw(phi, v)
         if g > 0.0:
             best = max(best, _gauge_raw(phi, op(v, m)) / g)

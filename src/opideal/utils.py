@@ -67,7 +67,7 @@ CARTAN_TOL = 1e-8        # group relations required by, and reported after, the 
 NULLITY_TOL = 1e-9       # commutant singular values relative to the largest
 GNS_TOL = 1e-10          # a mean given to the GNS construction: probability and invariance
 ZERO_TOL = 1e-12         # mean weights: a weight, imaginary or negative part, or sum - 1 is 0
-REPORT_TOL = 1e-9        # CLI report checks: nest membership of b, regular character match
+REPORT_TOL = 1e-9        # CLI report check: nest membership of the qr-nest factor b
 DUAL_RISE_TOL = 1e-16    # dual fixed point stops once the pairing ratio rises less, relatively
 DUAL_MIN_STEP = 2.0 ** -20  # smallest step the dual fixed point tries before it stops
 DUAL_MAX_ITER = 1000     # iteration cap of the dual fixed point

@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 
 from opideal import Flag, UnitaryRep, project, symmetric_group
 from opideal.classical import _relations
-from opideal.symfunc import _dual_candidates, _gauge_raw, _pairing_ratio
+from opideal.symfunc import _gauge_raw, _pairing_ratio
 from opideal.utils import crandn, dagger, frob, opnorm
 
 GRAM_CLIP = 1e-12   # Gram weights below this times the largest span nothing
@@ -212,6 +212,25 @@ def s3_irreps():
     return s3, [triv, sign, std]
 
 
+def _flat_prefix_candidates(eta, rng):
+    """Sorted trial vectors: e1, every flat prefix (1,...,1,0,...,0), the
+    power-law shadows of eta, and four random sorted vectors."""
+    n = eta.size
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    yield e1
+    for j in range(1, n + 1):
+        flat = np.zeros(n)
+        flat[:j] = 1.0
+        yield flat
+    for t in (1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0):
+        xi = np.power(eta, t, where=eta > 0, out=np.zeros_like(eta))
+        if xi.max() > 0:
+            yield xi
+    for _ in range(4):
+        yield np.sort(np.abs(rng.standard_normal(n)))[::-1]
+
+
 def _slsqp_ascent(phi, eta, delta0, max_iter, ftol):
     """One constrained ascent run; always returns a valid lower bound.
 
@@ -244,12 +263,12 @@ def _slsqp_ascent(phi, eta, delta0, max_iter, ftol):
 
 def slsqp_dual_ascent(phi, eta, seed=7, restarts=2, max_iter=80, ftol=1e-9):
     """Lower bound on the dual gauge of a sorted eta by SLSQP over the sorted
-    cone: the best of the package's candidate family, then one ascent from
+    cone: the best of a candidate family, then one ascent from
     that candidate and ``restarts`` ascents from random starts."""
     eta = np.asarray(eta, dtype=float)
     rng = np.random.default_rng(seed)
     best, best_xi = 0.0, None
-    for xi in _dual_candidates(eta, rng, extra=4):
+    for xi in _flat_prefix_candidates(eta, rng):
         r = _pairing_ratio(phi, xi, eta)
         if r > best:
             best, best_xi = r, xi

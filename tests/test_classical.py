@@ -1,5 +1,8 @@
 """Classical group types: membership, projections, Cartan and Iwasawa."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,6 +13,7 @@ from opideal import (CLASSICAL_TYPES, DomainError, InputError,
                      irreducibility_check, iwasawa_algebra_split,
                      iwasawa_decompose, random_group_element,
                      regular_eigenflag, validate_structure)
+from opideal import classical
 from opideal.classical import StructureData
 from opideal.utils import crandn, dagger, expm as numpy_expm, frob, opnorm
 from oracles import algebra_membership_by_relations
@@ -22,9 +26,13 @@ def test_default_structures_validate():
 
 
 def test_even_dimension_enforced():
-    for typ in ("C", "AII", "BII", "CI", "CII"):
-        with pytest.raises(InputError):
-            default_structure(typ, 3)
+    # exactly the types with an anti-conjugation need an even dimension
+    for typ in CLASSICAL_TYPES:
+        if typ in ("C", "AII", "BII", "CI", "CII"):
+            with pytest.raises(InputError, match=f"type {typ} needs even dimension, got n=3"):
+                default_structure(typ, 3)
+        else:
+            validate_structure(typ, default_structure(typ, 3))
 
 
 def test_cii_split_components_must_be_even():
@@ -38,7 +46,95 @@ def test_structure_compat_checks():
     st = default_structure("BI", 4, split=(2, 2))
     bad = np.eye(4, dtype=complex)[[0, 2, 1, 3]]   # swaps across the split
     with pytest.raises(InputError):
-        validate_structure("BI", type(st)(n=4, c_conj=bad, v=st.v, split=st.split))
+        validate_structure("BI", type(st)(n=4, c_conj=bad, split=st.split))
+
+
+def test_cii_anti_conjugation_must_preserve_the_blocks():
+    # the standard symplectic form of C^4 pairs e1 with e3, so it mixes the
+    # blocks of the split (2, 2); CII's default takes the form per block
+    validate_structure("CII", default_structure("CII", 4))
+    mixing = default_structure("C", 4).c_anti
+    with pytest.raises(InputError,
+                       match="type CII needs the anti-conjugation to preserve both blocks"):
+        validate_structure("CII", StructureData(n=4, c_anti=mixing, split=(2, 2)))
+
+
+@pytest.mark.parametrize("typ", ["BII", "CI"])
+def test_conjugation_pair_must_commute(typ):
+    # diag(1, 1, -1, -1) is a conjugation; it anticommutes with the
+    # symplectic form that pairs e1 with e3
+    c = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    ca = default_structure("C", 4).c_anti
+    validate_structure(typ, StructureData(n=4, c_conj=np.eye(4), c_anti=ca))
+    with pytest.raises(InputError, match=rf"type {typ} needs commuting \(anti-\)conjugations"):
+        validate_structure(typ, StructureData(n=4, c_conj=c, c_anti=ca))
+
+
+# The structure matrices each type reads, written out by hand
+_NEEDS = {
+    "A": set(), "B": {"c_conj"}, "C": {"c_anti"}, "AI": {"c_conj"},
+    "AII": {"c_anti"}, "AIII": {"v"}, "BI": {"c_conj", "v"},
+    "BII": {"c_conj", "c_anti"}, "CI": {"c_conj", "c_anti"},
+    "CII": {"c_anti", "v"},
+}
+
+
+def _symplectic(m):
+    w = np.zeros((m, m), dtype=complex)
+    w[:m // 2, m // 2:] = np.eye(m // 2)
+    w[m // 2:, :m // 2] = -np.eye(m // 2)
+    return w
+
+
+def test_relation_table_derives_the_structure_needs():
+    assert tuple(_NEEDS) == CLASSICAL_TYPES
+    for typ in CLASSICAL_TYPES:
+        assert classical._reads(typ, 4) == _NEEDS[typ]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("typ", CLASSICAL_TYPES)
+def test_default_structures_match_literals(typ, n):
+    needs = _NEEDS[typ]
+    split = None
+    if "v" in needs:
+        split = {4: (2, 2), 6: (2, 4), 8: (4, 4)}[n] if typ == "CII" else (n - n // 2, n // 2)
+    anti = None
+    if "c_anti" in needs:
+        anti = np.zeros((n, n), dtype=complex)
+        for lo, hi in ((0, split[0]), (split[0], n)) if typ == "CII" else ((0, n),):
+            anti[lo:hi, lo:hi] = _symplectic(hi - lo)
+    st = default_structure(typ, n)
+    assert st.n == n and st.split == split
+    for got, want in ((st.c_conj, np.eye(n) if "c_conj" in needs else None),
+                      (st.c_anti, anti),
+                      (st.v, None if split is None else
+                       np.diag([1.0] * split[0] + [-1.0] * split[1]))):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == complex and np.array_equal(got, want)
+
+
+def test_signature_is_derived_from_the_split():
+    assert [f.name for f in dataclasses.fields(StructureData)] == [
+        "n", "c_conj", "c_anti", "split"]
+    st = StructureData(n=3, split=(1, 2))
+    assert np.array_equal(st.v, np.diag([1.0, -1.0, -1.0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.v = np.eye(3)
+    assert StructureData(n=3).v is None
+    # a split is ignored by types without a signature
+    assert default_structure("B", 4, split=(1, 3)).split is None
+    for split in [(1, 1), (0, 3), (3, 0)]:
+        with pytest.raises(InputError) as err:
+            validate_structure("AIII", StructureData(n=3, split=split))
+        assert str(err.value) == f"split {split} does not partition dimension 3"
+
+
+def test_random_group_element_takes_a_structure():
+    params = inspect.signature(random_group_element).parameters
+    assert list(params) == ["typ", "structure", "seed", "radius"]
+    assert params["structure"].default is inspect.Parameter.empty
 
 
 def test_identity_in_every_group():

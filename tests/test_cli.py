@@ -222,6 +222,27 @@ def test_mean_gns_arens(workdir, capsys):
     assert rep["weights"][1][0] == pytest.approx(1.0)
 
 
+def _strict_json(text):
+    """json.loads that refuses the NaN/Infinity extensions."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_gauge_reports_out_of_floating_range_are_strict_json(tmp_path, capsys):
+    # 10^400 and 10^501 overflow a double; the gauges do not
+    save_matrix(tmp_path / "d.json", np.diag([10.0, 1.0]))
+    (tmp_path / "eta.csv").write_text("10.0\n1.0\n")
+    code, out = run_cli(["norm", "--phi", "schatten:400",
+                         "--matrix", str(tmp_path / "d.json")], capsys)
+    assert code == 0 and _strict_json(out)["norm"] == pytest.approx(10.0, rel=1e-15)
+    code, out = run_cli(["dualnorm", "--phi", "schatten:1.002",
+                         "--sequence", str(tmp_path / "eta.csv")], capsys)
+    rep = _strict_json(out)
+    assert code == 0 and rep["closed_form"] == pytest.approx(10.0, rel=1e-15)
+    assert 10.0 <= rep["estimate"] <= rep["closed_form"] * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("group", ["trivial", "z6", "d5", "s4", "q8", "{file}"])
 def test_mean_and_gns_build_no_second_representation(workdir, capsys, monkeypatch,
                                                       group):

@@ -60,6 +60,18 @@ def test_partition_validation():
         Partition(flag, [2, 4])                   # must contain n
 
 
+def test_partition_block_index():
+    flag = Flag.standard(7)
+    for cuts in [(7,), (1, 7), (2, 3, 7), range(1, 8)]:
+        part = Partition(flag, cuts)
+        loop = np.empty(7, dtype=int)
+        bounds = part.bounds
+        for i in range(part.block_count):
+            loop[bounds[i]:bounds[i + 1]] = i
+        assert np.array_equal(part.index, loop)
+        assert not part.index.flags.writeable
+
+
 def test_project_examples():
     flag = Flag.standard(3)
     assert np.allclose(project(flag, 0), np.zeros((3, 3)))

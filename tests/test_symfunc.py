@@ -1,6 +1,7 @@
 """Gauge functions: evaluation, singular values, duality, dilation indices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from opideal import (InputError, NonincreasingSequence,
                      SymNormFunc, adjoint_phi_eval, boyd_estimate, contract,
                      dilate, dilation_norm, dual_gauge, phi_eval, phi_norm,
                      singular_values)
-from opideal.symfunc import _fixed_point_ratio
+from opideal.symfunc import _dual_candidates, _fixed_point_ratio, _test_sequences
 from opideal.utils import crandn, dagger
 from oracles import slsqp_dual_ascent
 
@@ -356,3 +357,51 @@ def test_dual_options_deterministic():
     a = adjoint_phi_eval(SymNormFunc.schatten(3), eta, seed=11)
     b = adjoint_phi_eval(SymNormFunc.schatten(3), eta, seed=11)
     assert a.estimate == b.estimate
+
+
+@pytest.mark.parametrize("p, values, exact", [
+    (400.0, [10.0, 1.0], 10.0),                       # 10^400 overflows
+    (2.0, [1e200, 1e200], math.sqrt(2.0) * 1e200),    # 1e400 overflows
+    (3.0, [3e150], 3e150),
+    (3.0, [1e-120, 1e-120], 2.0 ** (1.0 / 3.0) * 1e-120),   # 1e-360 underflows
+    (2.0, [1e-170, 1e-170], math.sqrt(2.0) * 1e-170),
+    (3.0, [1e-105], 1e-105),                          # 1e-315 is subnormal
+])
+def test_schatten_gauge_scales_out_of_range_sums(p, values, exact):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phi_eval(SymNormFunc.schatten(p), values)
+    assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_schatten_gauge_in_range_is_the_plain_sum():
+    rng = np.random.default_rng(40)
+    for p in (1.5, 2.0, 3.0, 7.0):
+        for scale in (1e-20, 1.0, 1e20):
+            v = np.sort(rng.exponential(size=20))[::-1] * scale
+            plain = (np.sqrt(np.square(v).sum()) if p == 2.0
+                     else np.power(v, p).sum() ** (1.0 / p))
+            assert phi_eval(SymNormFunc.schatten(p), v) == float(plain)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_dual_candidates_e1_and_ones_hold_the_nonsmooth_maximisers(n):
+    # e1 and the all-ones vector attain max(eta_1, sum / min(k, n)) over
+    # every flat prefix, so schatten:1, schatten:inf and kyfan:k need no other
+    rng = np.random.default_rng([41, n])
+    cands = [xi for xi in _dual_candidates(np.ones(n), rng)]
+    assert np.array_equal(cands[0], np.eye(n)[0])
+    assert n == 1 or np.array_equal(cands[1], np.ones(n))
+    assert len(cands) == (1 if n == 1 else 2) + 4 + 4
+    for _ in range(5):
+        eta = np.sort(rng.integers(1, 4, n).astype(float) * rng.exponential())[::-1]
+        for phi in [SymNormFunc.schatten(1), SymNormFunc.schatten(math.inf)] + [
+                SymNormFunc.kyfan(k) for k in (1, 2, 3, 5, 9)]:
+            res = adjoint_phi_eval(phi, eta)
+            assert res.estimate == pytest.approx(res.closed_form, rel=1e-14)
+
+
+def test_probe_family_holds_each_sequence_once():
+    for seq_len in (4, 32):
+        seqs = [tuple(v) for v in _test_sequences(seq_len, np.random.default_rng(0))]
+        assert len(seqs) == len(set(seqs))
