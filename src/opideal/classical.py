@@ -377,10 +377,7 @@ def iwasawa_decompose(g, x0=None) -> IwasawaFactors:
     into its diagonal and unit upper triangular parts.
     """
     g = as_matrix(g, square=True, name="g")
-    dim = g.shape[0]
-    x0 = _default_regular(dim) if x0 is None else as_matrix(x0, square=True, name="x0")
-    if x0.shape[0] != dim:
-        raise InputError(f"x0 dimension {x0.shape[0]} does not match g ({dim})")
+    x0 = _default_regular(g.shape[0]) if x0 is None else as_matrix(x0, square=True, name="x0")
     flag = regular_eigenflag(x0)
     qb = qb_nest(g, flag)
     bt = flag.to_adapted(qb.b)
@@ -396,8 +393,7 @@ def iwasawa_algebra_split(x, x0=None):
     """Split x into skew-Hermitian, real-diagonal and strictly-upper parts
     relative to the eigenflag of x0: the Lie algebra shadow of KAN."""
     x = as_matrix(x, square=True)
-    dim = x.shape[0]
-    x0 = _default_regular(dim) if x0 is None else as_matrix(x0, square=True, name="x0")
+    x0 = _default_regular(x.shape[0]) if x0 is None else as_matrix(x0, square=True, name="x0")
     flag = regular_eigenflag(x0)
     low, dia, upp = triangular_integral(flag, x)
     dherm = (dia + dagger(dia)) / 2.0

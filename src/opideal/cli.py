@@ -55,12 +55,7 @@ def _rel(delta, ref) -> float:
 
 
 def _flag_for(args, n: int) -> nest.Flag:
-    if getattr(args, "flag", None):
-        flag = serialize.load_flag(args.flag)
-        if flag.n != n:
-            raise InputError(f"flag dimension {flag.n} does not match matrix ({n})")
-        return flag
-    return nest.Flag.standard(n)
+    return serialize.load_flag(args.flag) if args.flag else nest.Flag.standard(n)
 
 
 def _partition_for(args, flag: nest.Flag) -> nest.Partition:
@@ -178,6 +173,8 @@ def _cmd_cartan(args):
     g = serialize.load_matrix(args.matrix)
     split = _parse_split(args.split) if args.split else None
     structure = classical.default_structure(args.type, g.shape[0], split=split)
+    if split is not None and structure.split is None:
+        raise InputError(f"--split applies only to types with a signature; {args.type} has none")
     factors = classical.cartan_decompose(g, args.type, structure)
     w, v = np.linalg.eigh(factors.x)
     expx = v @ np.diag(np.exp(w)) @ dagger(v)
@@ -283,9 +280,6 @@ def _cmd_experiment(args):
     sizes = _parse_ints(args.sizes, "--sizes")
     rows = nest.truncation_norm_experiment(
         phi, sizes, args.trials, _resolve_seed(args.seed))
-    if args.format == "json":
-        return {"phi": str(phi), "trials": args.trials,
-                "rows": [{"n": n, "ratio": r} for n, r in rows]}
     return "n,ratio\n" + "".join(f"{n},{r!r}\n" for n, r in rows)
 
 
@@ -398,13 +392,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma list of dimensions")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 
 
+def _render(report) -> str:
+    """CSV as given; anything else as strict JSON, whose numbers are finite."""
+    if isinstance(report, str):
+        return report
+    try:
+        return json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("a report value lies outside the double range") from None
+
+
 def _emit(report, output) -> None:
-    text = report if isinstance(report, str) else json.dumps(report, sort_keys=True) + "\n"
+    text = _render(report)
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -416,7 +419,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        report = _render(args.func(args))
     except InputError as exc:
         _emit({"error": {"code": "input-error", "message": str(exc)}}, args.output)
         return 1

@@ -87,10 +87,8 @@ def ldl_nest(a, partition: Partition) -> LdlFactors:
     """
     a = as_matrix(a, square=True, name="a")
     flag = partition.flag
-    if a.shape[0] != flag.n:
-        raise InputError(f"matrix dimension {a.shape[0]} does not match flag n={flag.n}")
-    _check_positive(a, "a")
     y = flag.to_adapted(a)
+    _check_positive(a, "a")
     r, d = _trailing_elimination(y, partition.bounds)
     return LdlFactors(r=flag.from_adapted(r), d=flag.from_adapted(d))
 
@@ -106,13 +104,11 @@ def qb_nest(g, flag: Flag) -> QbFactors:
     Hermitian by its polar phase.
     """
     g = as_matrix(g, square=True, name="g")
-    if g.shape[0] != flag.n:
-        raise InputError(f"matrix dimension {g.shape[0]} does not match flag n={flag.n}")
+    y = flag.to_adapted(g)
     c = cond2(g)
     if is_singular(c):
         raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
     bounds = Partition.maximal(flag).bounds
-    y = flag.to_adapted(g)
     q, r = np.linalg.qr(y)
     w = _block_polar_phases(r, bounds)
     b = w @ r

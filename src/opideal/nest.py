@@ -39,7 +39,9 @@ class Flag:
     def __init__(self, basis, dims):
         basis = as_matrix(basis, square=True, name="flag basis")
         n = basis.shape[0]
-        if not is_unitary(basis):
+        # the identity is certified exactly; another basis pays an n x n product
+        is_standard = bool(np.array_equal(basis, np.eye(n)))
+        if not is_standard and not is_unitary(basis):
             err = frob(dagger(basis) @ basis - np.eye(n))
             raise InputError(f"flag basis is not unitary (residual {err:.2e})")
         dims = tuple(int(d) for d in dims)
@@ -51,7 +53,7 @@ class Flag:
         self.basis.flags.writeable = False
         self.dims = dims
         self.n = n
-        self.is_standard = bool(np.array_equal(basis, np.eye(n)))
+        self.is_standard = is_standard
 
     @classmethod
     def standard(cls, n: int, dims=None) -> "Flag":
@@ -60,8 +62,12 @@ class Flag:
             dims = range(1, n + 1)
         return cls(np.eye(n, dtype=complex), dims)
 
-    def to_adapted(self, x: np.ndarray) -> np.ndarray:
-        """x in the adapted basis, W* x W; x itself for the standard flag."""
+    def to_adapted(self, x) -> np.ndarray:
+        """x in the adapted basis, W* x W; x itself for the standard flag.
+        The one check that x fits the flag: finite, square, of dimension n."""
+        x = as_matrix(x, square=True)
+        if x.shape[0] != self.n:
+            raise InputError(f"matrix dimension {x.shape[0]} does not match flag n={self.n}")
         return x if self.is_standard else dagger(self.basis) @ x @ self.basis
 
     def from_adapted(self, y: np.ndarray) -> np.ndarray:
@@ -84,7 +90,7 @@ class Partition:
         cuts = tuple(sorted({int(c) for c in cuts}))
         if not cuts:
             raise InputError("partition needs at least one cut")
-        bad = [c for c in cuts if c not in flag.dims and c != 0]
+        bad = sorted(set(cuts) - set(flag.dims) - {0})
         if bad:
             raise InputError(f"cuts {bad} are not dimensions of the flag")
         cuts = tuple(c for c in cuts if c != 0)
@@ -116,52 +122,45 @@ class Partition:
 
 def project(flag: Flag, k: int) -> np.ndarray:
     """Orthogonal projection onto the first k flag directions."""
-    if k == 0:
-        return np.zeros((flag.n, flag.n), dtype=complex)
-    if k not in flag.dims:
+    if k != 0 and k not in flag.dims:
         raise InputError(f"k={k} is not a cut dimension of the flag")
-    if flag.is_standard:
-        p = np.zeros((flag.n, flag.n), dtype=complex)
-        p[np.arange(k), np.arange(k)] = 1.0
-        return p
     b = flag.basis[:, :k]
     return b @ dagger(b)
 
 
-def _truncate(partition: Partition, x, cmp: str) -> np.ndarray:
-    x = as_matrix(x, square=True)
+def _block_mask(index: np.ndarray, y: np.ndarray, cmp) -> np.ndarray:
+    """y where cmp(row block, column block) holds, else 0: np.equal keeps the
+    block diagonal, np.less the strictly upper and np.greater the strictly
+    lower blocks of an adapted-basis matrix."""
+    return np.where(cmp(index[:, None], index[None, :]), y, 0.0)
+
+
+def _truncate(partition: Partition, x, cmp) -> np.ndarray:
     flag = partition.flag
-    if x.shape[0] != flag.n:
-        raise InputError(f"matrix dimension {x.shape[0]} does not match flag n={flag.n}")
-    idx = partition.index
-    if cmp == "diag":
-        mask = idx[:, None] == idx[None, :]
-    elif cmp == "upper":
-        mask = idx[:, None] < idx[None, :]
-    else:
-        mask = idx[:, None] > idx[None, :]
-    return flag.from_adapted(np.where(mask, flag.to_adapted(x), 0.0))
+    return flag.from_adapted(_block_mask(partition.index, flag.to_adapted(x), cmp))
 
 
 def truncate_diag(partition: Partition, x) -> np.ndarray:
     """Block-diagonal truncation relative to the partition."""
-    return _truncate(partition, x, "diag")
+    return _truncate(partition, x, np.equal)
 
 
 def truncate_upper(partition: Partition, x) -> np.ndarray:
     """Strictly-block-upper truncation relative to the partition."""
-    return _truncate(partition, x, "upper")
+    return _truncate(partition, x, np.less)
 
 
 def truncate_lower(partition: Partition, x) -> np.ndarray:
     """Strictly-block-lower truncation relative to the partition."""
-    return _truncate(partition, x, "lower")
+    return _truncate(partition, x, np.greater)
 
 
 def triangular_integral(flag: Flag, x):
     """The (lower, diagonal, upper) parts at the finest partition of the flag."""
-    p = Partition.maximal(flag)
-    return truncate_lower(p, x), truncate_diag(p, x), truncate_upper(p, x)
+    y = flag.to_adapted(x)
+    idx = Partition.maximal(flag).index
+    return tuple(flag.from_adapted(_block_mask(idx, y, cmp))
+                 for cmp in (np.greater, np.equal, np.less))
 
 
 def refinement_identities_check(p_part: Partition, q_part: Partition, x) -> dict:
@@ -173,7 +172,6 @@ def refinement_identities_check(p_part: Partition, q_part: Partition, x) -> dict
     """
     if not p_part.is_subchain_of(q_part):
         raise InputError("first partition must be a subchain of the second")
-    x = as_matrix(x, square=True)
     report = {}
     for name, op in (("diag", truncate_diag),
                      ("upper", truncate_upper),
@@ -194,12 +192,8 @@ def is_in_nest_algebra(b, flag: Flag, tol: float = NEST_TOL) -> bool:
     partition; so when the truncation's Frobenius norm is within tol every
     cut passes at once, and only otherwise is each cut checked on its own.
     """
-    b = as_matrix(b, square=True)
-    if b.shape[0] != flag.n:
-        raise InputError(f"matrix dimension {b.shape[0]} does not match flag n={flag.n}")
     y = flag.to_adapted(b)
-    idx = Partition.maximal(flag).index
-    if frob(np.where(idx[:, None] > idx[None, :], y, 0.0)) <= tol:
+    if frob(_block_mask(Partition.maximal(flag).index, y, np.greater)) <= tol:
         return True
     return all(opnorm(y[k:, :k]) <= tol for k in flag.dims)
 

@@ -152,16 +152,14 @@ def _gauge_raw(phi: SymNormFunc, v: np.ndarray) -> float:
     """
     if v.size == 0:
         return 0.0
-    if phi.kind == "kyfan":
-        return float(v[: phi.k].sum())
     p = phi.p
-    if math.isinf(p):
+    if phi.kind == "schatten" and math.isinf(p):
         return float(v[0])
-    if p == 1.0:
-        return float(v.sum())
     # Only entries above 1 can overflow.  Entering np.errstate costs about
     # 1.4 us, a tenth of boyd_estimate's time over its ~33k gauge calls.
     with np.errstate(over="ignore") if v[0] > 1.0 else contextlib.nullcontext():
+        if phi.kind == "kyfan":
+            return float(v[: phi.k].sum())    # inf only when the value is
         total = np.square(v).sum() if p == 2.0 else np.power(v, p).sum()
     if _TINY <= total < math.inf:
         return float(np.sqrt(total) if p == 2.0 else total ** (1.0 / p))
@@ -213,10 +211,16 @@ class DualNormResult:
 
 
 def _pairing_ratio(phi: SymNormFunc, xi: np.ndarray, eta: np.ndarray) -> float:
+    """<xi, eta> / gauge(xi); if either overflows, recomputed on xi / max xi and
+    eta / max eta, since the ratio ignores the scale of xi and scales with eta."""
     g = _gauge_raw(phi, xi)
     if g <= 0.0:
         return 0.0
-    return float(np.dot(xi, eta)) / g
+    ratio = float(np.dot(xi, eta)) / g
+    if math.isfinite(g) and math.isfinite(ratio):
+        return ratio
+    top = float(eta.max())
+    return top * _pairing_ratio(phi, xi / xi.max(), eta / top)
 
 
 def _dual_candidates(eta: np.ndarray, rng: np.random.Generator):
@@ -299,14 +303,18 @@ def adjoint_phi_eval(phi: SymNormFunc, eta, seed: int = 7) -> DualNormResult:
         raise InputError("eta must be nonzero")
     ev = eta.values
     rng = np.random.default_rng(seed)
-    best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev, rng))
-    if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
-        best = max(best, _fixed_point_ratio(phi, ev))
+    # a pairing or kyfan sum that overflows is recomputed on scaled entries
+    with np.errstate(over="ignore"):
+        best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev, rng))
+        if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
+            best = max(best, _fixed_point_ratio(phi, ev))
 
-    if phi.kind == "kyfan":
-        closed = max(float(ev[0]), float(ev.sum()) / phi.k)
-    else:
-        closed = phi_eval(dual_gauge(phi), eta)
+        if phi.kind == "kyfan":
+            closed = max(float(ev[0]), float(ev.sum()) / phi.k)
+            if closed == math.inf:
+                closed = float(ev[0]) * max(1.0, float((ev / ev[0]).sum()) / phi.k)
+        else:
+            closed = phi_eval(dual_gauge(phi), eta)
     return DualNormResult(estimate=best, closed_form=closed)
 
 

@@ -229,18 +229,38 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_gauge_reports_out_of_floating_range_are_strict_json(tmp_path, capsys):
+@pytest.mark.parametrize("command, entries, expected", [
     # 10^400 and 10^501 overflow a double; the gauges do not
-    save_matrix(tmp_path / "d.json", np.diag([10.0, 1.0]))
-    (tmp_path / "eta.csv").write_text("10.0\n1.0\n")
-    code, out = run_cli(["norm", "--phi", "schatten:400",
-                         "--matrix", str(tmp_path / "d.json")], capsys)
-    assert code == 0 and _strict_json(out)["norm"] == pytest.approx(10.0, rel=1e-15)
-    code, out = run_cli(["dualnorm", "--phi", "schatten:1.002",
-                         "--sequence", str(tmp_path / "eta.csv")], capsys)
+    (["norm", "--phi", "schatten:400"], [10.0, 1.0], {"norm": 10.0}),
+    (["dualnorm", "--phi", "schatten:1.002"], [10.0, 1.0], {"closed_form": 10.0}),
+    # the gauge itself lies outside the double range
+    (["norm", "--phi", "schatten:1"], [1e308, 1e308], None),
+    (["norm", "--phi", "kyfan:2"], [1e308, 1e308], None),
+    (["dualnorm", "--phi", "kyfan:1"], [1e308, 1e308], None),
+    (["dualnorm", "--phi", "schatten:inf"], [1e308, 1e308], None),
+], ids=["norm-schatten:400", "dualnorm-schatten:1.002", "norm-schatten:1-out-of-range",
+        "norm-kyfan:2-out-of-range", "dualnorm-kyfan:1-out-of-range",
+        "dualnorm-schatten:inf-out-of-range"])
+def test_gauge_reports_out_of_floating_range_are_strict_json(tmp_path, capsys, command,
+                                                             entries, expected):
+    if command[0] == "norm":
+        save_matrix(tmp_path / "d.json", np.diag(entries))
+        argv = command + ["--matrix", str(tmp_path / "d.json")]
+    else:
+        (tmp_path / "eta.csv").write_text("".join(f"{v!r}\n" for v in entries))
+        argv = command + ["--sequence", str(tmp_path / "eta.csv")]
+    code, out = run_cli(argv, capsys)
     rep = _strict_json(out)
-    assert code == 0 and rep["closed_form"] == pytest.approx(10.0, rel=1e-15)
-    assert 10.0 <= rep["estimate"] <= rep["closed_form"] * (1 + 1e-12)
+    if expected is None:
+        assert code == 1 and rep["error"] == {
+            "code": "domain-error",
+            "message": "a report value lies outside the double range"}
+        return
+    assert code == 0
+    for key, value in expected.items():
+        assert rep[key] == pytest.approx(value, rel=1e-15)
+    if command[0] == "dualnorm":
+        assert 10.0 <= rep["estimate"] <= rep["closed_form"] * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("group", ["trivial", "z6", "d5", "s4", "q8", "{file}"])
@@ -357,6 +377,8 @@ def test_error_reports(workdir, capsys):
      "not a text file"),
     (["hc", "--matrix", "{m}", "--split", "2"], None, "--split"),
     (["cartan", "--type", "AIII", "--matrix", "{m}", "--split", "2"], None, "--split"),
+    (["cartan", "--type", "B", "--matrix", "{m}", "--split", "1,3"], None,
+     "--split applies only to types with a signature; B has none"),
 ])
 def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, message):
     bad = workdir / "bad.json"

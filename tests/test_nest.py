@@ -1,14 +1,20 @@
 """Flags, partitions, and the three truncation operators."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 from opideal import (Flag, InputError, Partition, SymNormFunc,
-                     is_in_nest_algebra, project,
-                     refinement_identities_check, triangular_integral,
-                     truncate_diag, truncate_lower, truncate_upper,
-                     truncation_norm_experiment)
-from opideal.utils import crandn, dagger, frob
+                     is_in_nest_algebra, iwasawa_decompose, ldl_nest, nest,
+                     project, qb_nest, refinement_identities_check,
+                     regular_eigenflag, triangular_integral, truncate_diag,
+                     truncate_lower, truncate_upper, truncation_norm_experiment)
+from opideal.cli import main
+from opideal.serialize import save_flag, save_matrix
+from opideal.utils import crandn, dagger, frob, is_unitary
 
 from oracles import nest_membership_per_cut
 
@@ -129,10 +135,60 @@ def test_truncations_match_projector_sum_oracle():
         assert frob(op(part, x) - _projector_sum_oracle(part, x, which)) < 1e-12
 
 
-def test_truncation_dimension_mismatch():
-    part = Partition.maximal(Flag.standard(3))
-    with pytest.raises(InputError):
-        truncate_diag(part, np.eye(4))
+def _truncate_cli(flag, x, tmp_path):
+    """`opideal truncate --flag`: exit 1 with an input-error, re-raised here."""
+    save_matrix(tmp_path / "x.json", x)
+    save_flag(tmp_path / "f.json", flag)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["truncate", "--matrix", str(tmp_path / "x.json"),
+                     "--flag", str(tmp_path / "f.json")])
+    err = json.loads(out.getvalue())["error"]
+    assert code == 1 and err["code"] == "input-error"
+    raise InputError(err["message"])
+
+
+def _iwasawa_x0_of_flag(flag, x, tmp_path):
+    # a regular element whose eigenflag is the given flag
+    w = flag.basis
+    iwasawa_decompose(x, w @ np.diag(np.arange(flag.n, 0, -1.0)) @ dagger(w))
+
+
+_MISMATCH_ENTRY_POINTS = {
+    "truncate_diag": lambda flag, x, _: truncate_diag(Partition.maximal(flag), x),
+    "truncate_upper": lambda flag, x, _: truncate_upper(Partition.maximal(flag), x),
+    "truncate_lower": lambda flag, x, _: truncate_lower(Partition.maximal(flag), x),
+    "triangular_integral": lambda flag, x, _: triangular_integral(flag, x),
+    "is_in_nest_algebra": lambda flag, x, _: is_in_nest_algebra(x, flag),
+    "ldl_nest": lambda flag, x, _: ldl_nest(x, Partition.maximal(flag)),
+    "qb_nest": lambda flag, x, _: qb_nest(x, flag),
+    "iwasawa_decompose": _iwasawa_x0_of_flag,
+    "cli-truncate-flag": _truncate_cli,
+}
+
+
+@pytest.mark.parametrize("standard", [True, False], ids=["standard", "rotated"])
+@pytest.mark.parametrize("entry", sorted(_MISMATCH_ENTRY_POINTS))
+def test_truncation_dimension_mismatch(entry, standard, tmp_path):
+    flag = Flag.standard(3) if standard else random_flag(np.random.default_rng(8), 3)
+    with pytest.raises(InputError) as err:
+        _MISMATCH_ENTRY_POINTS[entry](flag, np.eye(4), tmp_path)
+    assert str(err.value) == "matrix dimension 4 does not match flag n=3"
+
+
+def test_identity_basis_needs_no_unitarity_product(monkeypatch):
+    calls = []
+
+    def counting(u):
+        calls.append(u.shape[0])
+        return is_unitary(u)
+
+    monkeypatch.setattr(nest, "is_unitary", counting)
+    for n in (1, 2, 8, 128):
+        assert Flag.standard(n).is_standard
+        assert regular_eigenflag(np.diag(np.arange(n, 0, -1.0))).is_standard
+    assert calls == []
+    assert not random_flag(np.random.default_rng(10), 5).is_standard
+    assert calls == [5]
 
 
 def test_triangular_integral_adjoint_relations():
@@ -159,15 +215,24 @@ def test_triangular_integral_diagonal_case():
     assert frob(low) == 0.0 and frob(upp) == 0.0 and np.array_equal(dia, d)
 
 
-def test_triangular_integral_equals_finest_truncation():
+def test_triangular_integral_equals_finest_truncation(monkeypatch):
     rng = np.random.default_rng(6)
     flag = random_flag(rng, 6)
     part = Partition.maximal(flag)
     x = crandn(rng, 6, 6)
+    rotations = []
+    to_adapted = Flag.to_adapted
+
+    def counting(self, y):
+        rotations.append(1)
+        return to_adapted(self, y)
+
+    monkeypatch.setattr(Flag, "to_adapted", counting)
     low, dia, upp = triangular_integral(flag, x)
-    assert np.array_equal(low, truncate_lower(part, x))
-    assert np.array_equal(dia, truncate_diag(part, x))
-    assert np.array_equal(upp, truncate_upper(part, x))
+    assert len(rotations) == 1
+    assert low.tobytes() == truncate_lower(part, x).tobytes()
+    assert dia.tobytes() == truncate_diag(part, x).tobytes()
+    assert upp.tobytes() == truncate_upper(part, x).tobytes()
 
 
 def test_truncation_algebra_properties():

@@ -374,9 +374,26 @@ def test_schatten_gauge_scales_out_of_range_sums(p, values, exact):
     assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("phi, exact", [
+    ("schatten:1", 1e308),
+    ("schatten:1.5", 2.0 ** (1.0 / 3.0) * 1e308),
+    ("schatten:2", math.sqrt(2.0) * 1e308),
+    ("schatten:3", 2.0 ** (2.0 / 3.0) * 1e308),
+    ("kyfan:2", 1e308),
+    ("kyfan:3", 1e308),
+])
+def test_dual_value_near_the_double_range_does_not_overflow(phi, exact):
+    # <xi, eta> and sum(eta) overflow although the dual value does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = adjoint_phi_eval(SymNormFunc.parse(phi), [1e308, 1e308])
+    assert res.closed_form == pytest.approx(exact, rel=1e-15)
+    assert exact * (1 - 1e-12) <= res.estimate <= res.closed_form * (1 + 1e-12)
+
+
 def test_schatten_gauge_in_range_is_the_plain_sum():
     rng = np.random.default_rng(40)
-    for p in (1.5, 2.0, 3.0, 7.0):
+    for p in (1.0, 1.5, 2.0, 3.0, 7.0):
         for scale in (1e-20, 1.0, 1e20):
             v = np.sort(rng.exponential(size=20))[::-1] * scale
             plain = (np.sqrt(np.square(v).sum()) if p == 2.0
