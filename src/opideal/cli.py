@@ -3,8 +3,10 @@
 Reports go to stdout as JSON (or CSV for experiments); diagnostics go to
 stderr.  Exit status 0 on success, 1 with a structured error report on
 validation or domain failures, 2 on unknown subcommands or bad flags.
-All randomised subcommands take a seed (flag, else OPIDEAL_SEED, else a
-fixed constant), so identical invocations produce byte-identical output.
+``experiment`` is the only randomised subcommand; it takes a seed (flag,
+else OPIDEAL_SEED, else a fixed constant), so identical invocations produce
+byte-identical output.  ``dualnorm`` and ``boyd`` are deterministic and
+accept ``--seed`` without using it.
 """
 
 from __future__ import annotations
@@ -25,15 +27,19 @@ DEFAULT_SEED = 1729
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("OPIDEAL_SEED")
-    if env is not None:
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("OPIDEAL_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        source = "OPIDEAL_SEED"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise InputError(f"OPIDEAL_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    if value < 0:
+        raise InputError(f"{source} must be a nonnegative integer, got {value}")
+    return value
 
 
 def _parse_ints(text: str, what: str):
@@ -78,13 +84,13 @@ def _cmd_norm(args):
 def _cmd_dualnorm(args):
     phi = symfunc.SymNormFunc.parse(args.phi)
     eta = serialize.load_sequence(args.sequence)
-    res = symfunc.adjoint_phi_eval(phi, eta, seed=_resolve_seed(args.seed))
+    res = symfunc.adjoint_phi_eval(phi, eta)
     return {"phi": str(phi), "estimate": res.estimate, "closed_form": res.closed_form}
 
 
 def _cmd_boyd(args):
     phi = symfunc.SymNormFunc.parse(args.phi)
-    est = symfunc.boyd_estimate(phi, args.mmax, args.cap, seed=_resolve_seed(args.seed))
+    est = symfunc.boyd_estimate(phi, args.mmax, args.cap)
 
     def _num(v):
         return "inf" if math.isinf(v) else v
@@ -312,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
             "max(eta_1, sum/k) for kyfan:k).")
     p.add_argument("--phi", required=True)
     p.add_argument("--sequence", required=True, help="CSV, one value per line")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted and ignored: the estimate is deterministic")
 
     p = add("boyd", _cmd_boyd,
             "Dilation growth exponents of a gauge from a finite scan of "
@@ -320,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--mmax", type=int, default=16)
     p.add_argument("--cap", type=int, default=64, help="sequence length cap")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted and ignored: the scan is deterministic")
 
     p = add("truncate", _cmd_truncate,
             "Block-diagonal / strictly-upper / strictly-lower truncations "

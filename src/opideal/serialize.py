@@ -24,8 +24,8 @@ from .utils import MAX_GROUP_ORDER, as_matrix
 __all__ = [
     "complex_to_pairs",
     "matrix_to_obj", "matrix_from_obj", "save_matrix", "load_matrix",
-    "flag_to_obj", "flag_from_obj", "save_flag", "load_flag",
-    "sequence_to_csv", "sequence_from_csv", "save_sequence", "load_sequence",
+    "flag_from_obj", "save_flag", "load_flag",
+    "sequence_from_csv", "load_sequence",
     "group_from_obj", "load_group", "resolve_group",
     "functional_from_obj", "load_functional",
     "structure_from_obj", "load_structure",
@@ -102,10 +102,6 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_obj(_load_json(path))
 
 
-def flag_to_obj(flag: Flag) -> dict:
-    return {"basis": matrix_to_obj(flag.basis), "dims": list(flag.dims)}
-
-
 def flag_from_obj(obj) -> Flag:
     if not isinstance(obj, dict):
         raise InputError("flag object must be a JSON object")
@@ -118,16 +114,11 @@ def flag_from_obj(obj) -> Flag:
 
 def save_flag(path, flag: Flag) -> None:
     with open(path, "w") as fh:
-        json.dump(flag_to_obj(flag), fh)
+        json.dump({"basis": matrix_to_obj(flag.basis), "dims": list(flag.dims)}, fh)
 
 
 def load_flag(path) -> Flag:
     return flag_from_obj(_load_json(path))
-
-
-def sequence_to_csv(seq) -> str:
-    values = seq.values if isinstance(seq, NonincreasingSequence) else np.asarray(seq)
-    return "".join(f"{float(v)!r}\n" for v in values)
 
 
 def sequence_from_csv(text: str) -> NonincreasingSequence:
@@ -141,11 +132,6 @@ def sequence_from_csv(text: str) -> NonincreasingSequence:
         except ValueError:
             raise InputError(f"sequence line {lineno} is not a number: {line!r}") from None
     return NonincreasingSequence(values)
-
-
-def save_sequence(path, seq) -> None:
-    with open(path, "w") as fh:
-        fh.write(sequence_to_csv(seq))
 
 
 def load_sequence(path) -> NonincreasingSequence:

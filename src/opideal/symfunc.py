@@ -23,7 +23,6 @@ from .utils import (DUAL_MAX_ITER, DUAL_MIN_STEP, DUAL_RISE_TOL, SINGULAR_CLIP,
                     UNIT_NORM_TOL, as_matrix)
 
 _TINY = np.finfo(float).tiny    # smallest normal float
-_RANDOM_CANDIDATES = 4          # random sorted trial vectors of the dual estimate
 
 __all__ = [
     "NonincreasingSequence",
@@ -223,11 +222,11 @@ def _pairing_ratio(phi: SymNormFunc, xi: np.ndarray, eta: np.ndarray) -> float:
     return top * _pairing_ratio(phi, xi / xi.max(), eta / top)
 
 
-def _dual_candidates(eta: np.ndarray, rng: np.random.Generator):
-    """Deterministic and random sorted trial vectors for the dual maximisation.
+def _dual_candidates(eta: np.ndarray):
+    """Flat trial vectors for the dual maximisation: e1, and 1_n when n > 1.
 
-    e1 and the all-ones vector hold the maximiser of schatten:1,
-    schatten:inf and every kyfan:k; no other flat prefix does better.
+    They hold the maximiser of schatten:1, schatten:inf and every kyfan:k;
+    no other flat prefix does better.
     """
     n = eta.size
     e1 = np.zeros(n)
@@ -235,12 +234,6 @@ def _dual_candidates(eta: np.ndarray, rng: np.random.Generator):
     yield e1
     if n > 1:
         yield np.ones(n)
-    for t in (1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0):   # power-law shadows of eta
-        xi = np.power(eta, t, where=eta > 0, out=np.zeros_like(eta))
-        if xi.max() > 0:
-            yield xi
-    for _ in range(_RANDOM_CANDIDATES):
-        yield np.sort(np.abs(rng.standard_normal(n)))[::-1]
 
 
 def _fixed_point_ratio(phi: SymNormFunc, eta: np.ndarray) -> float:
@@ -285,27 +278,25 @@ def _fixed_point_ratio(phi: SymNormFunc, eta: np.ndarray) -> float:
     return ratio
 
 
-def adjoint_phi_eval(phi: SymNormFunc, eta, seed: int = 7) -> DualNormResult:
+def adjoint_phi_eval(phi: SymNormFunc, eta) -> DualNormResult:
     """Dual gauge value: sup over sorted xi >= 0 of <xi, eta> / gauge(xi).
 
-    The numeric estimate is the best pairing ratio over a canonical
-    candidate family, which holds the maximiser of schatten:1,
-    schatten:inf and every kyfan:k (e1 and the all-ones vector), and, for
-    the other schatten gauges, the multiplicative fixed point of the KKT
-    condition.  It is a lower bound on the supremum, computed from the
-    gauge and its gradient alone.  The exact value is returned alongside:
-    ell^q (1/p + 1/q = 1) for schatten:p and max(eta_1, sum / k) for
-    kyfan:k (Bhatia, Matrix Analysis, ch. IV).  The seed fixes the random
-    candidates.
+    The numeric estimate is the best pairing ratio over e1 and the
+    all-ones vector, which hold the maximiser of schatten:1, schatten:inf
+    and every kyfan:k, and, for the other schatten gauges, the
+    multiplicative fixed point of the KKT condition.  It is a lower bound
+    on the supremum, computed from the gauge and its gradient alone, and
+    it is deterministic.  The exact value is returned alongside: ell^q
+    (1/p + 1/q = 1) for schatten:p and max(eta_1, sum / k) for kyfan:k
+    (Bhatia, Matrix Analysis, ch. IV).
     """
     eta = _as_sequence(eta)
     if eta.values.size == 0 or eta.values[0] == 0.0:
         raise InputError("eta must be nonzero")
     ev = eta.values
-    rng = np.random.default_rng(seed)
     # a pairing or kyfan sum that overflows is recomputed on scaled entries
     with np.errstate(over="ignore"):
-        best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev, rng))
+        best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev))
         if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
             best = max(best, _fixed_point_ratio(phi, ev))
 
@@ -342,43 +333,32 @@ def contract(m: int, xi) -> NonincreasingSequence:
     return NonincreasingSequence(_average(_as_sequence(xi).values, _as_block(m)))
 
 
-def _test_sequences(seq_len: int, rng: np.random.Generator):
-    """Canonical probe family on which the dilation norms are maximised."""
+def _test_sequences(seq_len: int):
+    """The flat probes 1_1, ..., 1_L on which the dilation norms are taken.
+
+    For the schatten and kyfan gauges both the repeat and the block-average
+    operator attain their norm on a flat vector.
+    """
     for j in range(1, seq_len + 1):
         yield np.ones(j)
-    e1 = np.zeros(max(1, min(seq_len, 4)))
-    e1[0] = 1.0
-    yield e1
-    idx = np.arange(1, seq_len + 1, dtype=float)
-    for alpha in (0.25, 0.5, 1.0, 2.0):
-        yield idx ** (-alpha)
-    for t in (0.9, 0.7, 0.5, 0.2):
-        yield t ** idx
-    for _ in range(4):
-        yield np.sort(np.abs(rng.standard_normal(seq_len)))[::-1]
 
 
-def _probe_norm(phi: SymNormFunc, op, m: int, seq_len: int,
-                rng: np.random.Generator) -> float:
+def _probe_norm(phi: SymNormFunc, op, m: int, seq_len: int) -> float:
     """Largest gauge ratio of op(v, m) to v over the probe sequences."""
-    best = 0.0
-    for v in _test_sequences(seq_len, rng):
-        g = _gauge_raw(phi, v)
-        if g > 0.0:
-            best = max(best, _gauge_raw(phi, op(v, m)) / g)
-    return best
+    if seq_len < 1:
+        raise InputError("seq_len must be >= 1")
+    return max(_gauge_raw(phi, op(v, m)) / _gauge_raw(phi, v)
+               for v in _test_sequences(seq_len))
 
 
-def dilation_norm(phi: SymNormFunc, m: int, seq_len: int, seed: int = 0) -> float:
-    """Norm of the m-fold repeat operator, maximised over probe sequences."""
-    m = _as_block(m)
-    return _probe_norm(phi, np.repeat, m, seq_len, np.random.default_rng([seed, m]))
+def dilation_norm(phi: SymNormFunc, m: int, seq_len: int) -> float:
+    """Norm of the m-fold repeat operator, maximised over flat probes."""
+    return _probe_norm(phi, np.repeat, _as_block(m), seq_len)
 
 
-def contraction_norm(phi: SymNormFunc, m: int, seq_len: int, seed: int = 0) -> float:
-    """Norm of the m-block averaging operator, maximised over probe sequences."""
-    m = _as_block(m)
-    return _probe_norm(phi, _average, m, seq_len, np.random.default_rng([seed, m, 1]))
+def contraction_norm(phi: SymNormFunc, m: int, seq_len: int) -> float:
+    """Norm of the m-block averaging operator, maximised over flat probes."""
+    return _probe_norm(phi, _average, _as_block(m), seq_len)
 
 
 @dataclass
@@ -393,14 +373,13 @@ class BoydEstimate:
     contraction_norms: dict
 
 
-def boyd_estimate(phi: SymNormFunc, m_max: int, seq_len: int,
-                  seed: int = 0) -> BoydEstimate:
+def boyd_estimate(phi: SymNormFunc, m_max: int, seq_len: int) -> BoydEstimate:
     """Estimate both growth indices from dilation norms for m up to m_max.
 
     The lower index is sup_m log m / log ||D_m|| and the upper index is
     inf_m log(1/m) / log ||D_{1/m}||, both scanned over 2 <= m <= m_max on
-    sequences capped at seq_len entries.  Degenerate logarithms (norms at 1)
-    contribute +inf, matching gauges equivalent to the sup norm.
+    the flat sequences 1_1, ..., 1_seq_len.  Degenerate logarithms (norms at
+    1) contribute +inf, matching gauges equivalent to the sup norm.
     """
     if m_max < 2:
         raise InputError("m_max must be >= 2")
@@ -409,8 +388,8 @@ def boyd_estimate(phi: SymNormFunc, m_max: int, seq_len: int,
     dnorms, cnorms = {}, {}
     p_terms, q_terms = [], []
     for m in range(2, m_max + 1):
-        dm = dilation_norm(phi, m, seq_len, seed=seed)
-        cm = contraction_norm(phi, m, seq_len, seed=seed)
+        dm = dilation_norm(phi, m, seq_len)
+        cm = contraction_norm(phi, m, seq_len)
         dnorms[m], cnorms[m] = dm, cm
         p_terms.append(math.inf if dm <= 1.0 + UNIT_NORM_TOL
                        else math.log(m) / math.log(dm))

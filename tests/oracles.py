@@ -4,18 +4,20 @@ Everything here is deliberately written by a different route than the
 package code: permuted Cholesky instead of block elimination, classical
 Gram-Schmidt instead of the Gram-matrix factorization, explicit
 permutation matrices and the dense Gram quotient for representations,
-element tuples for Cayley tables, and constrained SLSQP ascent instead of
-the dual gauge's fixed point.
+element tuples for Cayley tables, constrained SLSQP ascent instead of
+the dual gauge's fixed point, and seeded random and hand-picked probe
+shapes next to the flat vectors of the dual estimate and the Boyd scan.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import minimize
 
 from opideal import Flag, UnitaryRep, project, symmetric_group
 from opideal.classical import _relations
-from opideal.symfunc import _gauge_raw, _pairing_ratio
+from opideal.symfunc import _average, _fixed_point_ratio, _gauge_raw, _pairing_ratio
 from opideal.utils import crandn, dagger, frob, opnorm
 
 GRAM_CLIP = 1e-12   # Gram weights below this times the largest span nothing
@@ -212,6 +214,16 @@ def s3_irreps():
     return s3, [triv, sign, std]
 
 
+def _shadows_and_random_draws(eta, rng):
+    """The power-law shadows of eta and four random sorted vectors."""
+    for t in (1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0):
+        xi = np.power(eta, t, where=eta > 0, out=np.zeros_like(eta))
+        if xi.max() > 0:
+            yield xi
+    for _ in range(4):
+        yield np.sort(np.abs(rng.standard_normal(eta.size)))[::-1]
+
+
 def _flat_prefix_candidates(eta, rng):
     """Sorted trial vectors: e1, every flat prefix (1,...,1,0,...,0), the
     power-law shadows of eta, and four random sorted vectors."""
@@ -223,12 +235,63 @@ def _flat_prefix_candidates(eta, rng):
         flat = np.zeros(n)
         flat[:j] = 1.0
         yield flat
-    for t in (1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0):
-        xi = np.power(eta, t, where=eta > 0, out=np.zeros_like(eta))
-        if xi.max() > 0:
-            yield xi
+    yield from _shadows_and_random_draws(eta, rng)
+
+
+def full_family_dual_estimate(phi, eta, seed=7):
+    """The dual estimate over the full candidate family: e1, 1_n, the
+    power-law shadows of eta and four random sorted vectors drawn from the
+    seed, then the KKT fixed point for 1 < p < inf."""
+    eta = np.asarray(eta, dtype=float)
+    n = eta.size
+    flat = [np.eye(1, n)[0]] + ([np.ones(n)] if n > 1 else [])
+    cands = itertools.chain(flat, _shadows_and_random_draws(
+        eta, np.random.default_rng(seed)))
+    with np.errstate(over="ignore"):
+        best = max(_pairing_ratio(phi, xi, eta) for xi in cands)
+        if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
+            best = max(best, _fixed_point_ratio(phi, eta))
+    return best
+
+
+def _full_probe_family(seq_len, rng):
+    """The flat probes 1_1..1_L, e1 padded to length min(L, 4), four power
+    laws, four geometric sequences and four random sorted draws."""
+    for j in range(1, seq_len + 1):
+        yield np.ones(j)
+    e1 = np.zeros(max(1, min(seq_len, 4)))
+    e1[0] = 1.0
+    yield e1
+    idx = np.arange(1, seq_len + 1, dtype=float)
+    for alpha in (0.25, 0.5, 1.0, 2.0):
+        yield idx ** (-alpha)
+    for t in (0.9, 0.7, 0.5, 0.2):
+        yield t ** idx
     for _ in range(4):
-        yield np.sort(np.abs(rng.standard_normal(n)))[::-1]
+        yield np.sort(np.abs(rng.standard_normal(seq_len)))[::-1]
+
+
+def _full_family_probe_norm(phi, op, m, seq_len, rng):
+    best = 0.0
+    for v in _full_probe_family(seq_len, rng):
+        g = _gauge_raw(phi, v)
+        if g > 0.0:
+            best = max(best, _gauge_raw(phi, op(v, m)) / g)
+    return best
+
+
+def full_family_dilation_norm(phi, m, seq_len, seed=0):
+    """Largest gauge ratio of the m-fold repeat over the full probe family,
+    its random draws from (seed, m)."""
+    return _full_family_probe_norm(phi, np.repeat, m, seq_len,
+                                   np.random.default_rng([seed, m]))
+
+
+def full_family_contraction_norm(phi, m, seq_len, seed=0):
+    """Largest gauge ratio of the m-block average over the full probe
+    family, its random draws from (seed, m, 1)."""
+    return _full_family_probe_norm(phi, _average, m, seq_len,
+                                   np.random.default_rng([seed, m, 1]))
 
 
 def _slsqp_ascent(phi, eta, delta0, max_iter, ftol):

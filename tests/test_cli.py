@@ -533,8 +533,53 @@ def test_byte_identical_reports(workdir):
 
 
 def test_env_seed_override(workdir):
-    base = ["dualnorm", "--phi", "schatten:3",
-            "--sequence", str(workdir / "eta.csv")]
+    base = ["experiment", "truncation-growth", "--phi", "schatten:1",
+            "--sizes", "2,4,8", "--trials", "6"]
     via_env = _run_subprocess(base, env_extra={"OPIDEAL_SEED": "123"})
     via_flag = _run_subprocess(base + ["--seed", "123"])
+    other = _run_subprocess(base + ["--seed", "124"])
+    assert via_env.returncode == via_flag.returncode == other.returncode == 0
     assert via_env.stdout == via_flag.stdout
+    assert other.stdout != via_flag.stdout
+
+
+@pytest.mark.parametrize("seed, env, source", [
+    (["--seed", "-5"], None, "--seed"),
+    ([], "-2", "OPIDEAL_SEED"),
+    (["--seed", "-1"], "3", "--seed"),
+], ids=["flag", "env", "flag-over-env"])
+def test_negative_seed_is_input_error(capsys, monkeypatch, seed, env, source):
+    if env is None:
+        monkeypatch.delenv("OPIDEAL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("OPIDEAL_SEED", env)
+    code = main(["experiment", "truncation-growth", "--phi", "schatten:1",
+                 "--sizes", "4", "--trials", "2", *seed])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "input-error"
+    assert err["message"].startswith(f"{source} must be a nonnegative integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dualnorm", "--phi", "schatten:3", "--sequence", "{eta}"],
+    ["boyd", "--phi", "schatten:1.5", "--mmax", "8", "--cap", "16"],
+], ids=["dualnorm", "boyd"])
+def test_gauge_reports_draw_nothing_and_ignore_the_seed(workdir, capsys, monkeypatch,
+                                                         argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gauge report drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    argv = [a.format(eta=workdir / "eta.csv") for a in argv]
+    outputs = []
+    for seed, env in ((["--seed", "1"], None), (["--seed", "2"], None),
+                      ([], None), ([], "5"), (["--seed", "-1"], None)):
+        if env is None:
+            monkeypatch.delenv("OPIDEAL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OPIDEAL_SEED", env)
+        assert main(argv + seed) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1

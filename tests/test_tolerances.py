@@ -2,6 +2,7 @@
 decide alike wherever they are used."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +64,19 @@ def test_predicates_reject_nan_residuals():
         Flag(u, [1, 2])
     assert is_singular(float("nan")) and is_singular(float("inf"))
     assert not is_singular(1e12)
+
+
+def _module_constants(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    targets = [t for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+
+
+def test_readme_names_every_utils_constant():
+    names = _module_constants(PACKAGE / "utils.py")
+    assert "COND_LIMIT" in names and "MAX_GROUP_ORDER" in names
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    missing = [name for name in names if not re.search(rf"`{name}\b", readme)]
+    assert missing == [], f"utils constants missing from README.md: {missing}"
