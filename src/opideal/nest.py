@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputError
 from .symfunc import SymNormFunc, phi_norm
-from .utils import NEST_TOL, as_matrix, crandn, dagger, frob, is_unitary, opnorm
+from .utils import (MAX_EXPERIMENT_DIM, MAX_EXPERIMENT_TRIALS, NEST_TOL, as_matrix,
+                    crandn, dagger, frob, is_unitary, opnorm)
 
 __all__ = [
     "Flag",
@@ -231,9 +232,13 @@ def truncation_norm_experiment(phi: SymNormFunc, n_list, trials: int,
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if trials > MAX_EXPERIMENT_TRIALS:
+        raise InputError(f"trials {trials} exceed the limit {MAX_EXPERIMENT_TRIALS}")
     sizes = [int(n) for n in n_list]
     if any(n < 1 for n in sizes):
         raise InputError("sizes must be positive")
+    if max(sizes, default=0) > MAX_EXPERIMENT_DIM:
+        raise InputError(f"size {max(sizes)} exceeds the limit {MAX_EXPERIMENT_DIM}")
     rows = []
     for n in sizes:
         part = Partition.maximal(Flag.standard(n))

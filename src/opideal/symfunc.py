@@ -7,20 +7,22 @@ families are provided: the ``schatten`` gauges (the ell^p length) and the
 values they give the unitarily invariant matrix norms.  The module also
 gives the dual gauge in closed form together with an independent numeric
 lower bound, and estimates the dilation growth exponents (Boyd indices) by
-a finite scan over block dilations.
+a finite scan over block dilations of the flat probes 1_1 ... 1_L.  The
+scan builds no probe: the gauge of 1_k follows from k, and the block
+averages of the probes are gauged one block of equal-length images at a
+time, with values bit-identical to gauging each image on its own.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .utils import (DUAL_MAX_ITER, DUAL_MIN_STEP, DUAL_RISE_TOL, SINGULAR_CLIP,
-                    UNIT_NORM_TOL, as_matrix)
+from .utils import (DUAL_MAX_ITER, DUAL_MIN_STEP, DUAL_RISE_TOL, MAX_PROBE_LEN,
+                    SINGULAR_CLIP, UNIT_NORM_TOL, as_matrix)
 
 _TINY = np.finfo(float).tiny    # smallest normal float
 
@@ -142,6 +144,22 @@ class SymNormFunc:
         return f"kyfan:{self.k}"
 
 
+def _totals(phi: SymNormFunc, v: np.ndarray):
+    """The finite gauge's sum along the last axis, before any root: the k
+    leading entries for kyfan:k, the p-th powers for schatten:p.  Each row
+    of a 2-d block sums in the order of the 1-d call on that row."""
+    with np.errstate(over="ignore"):    # only entries above 1 overflow
+        if phi.kind == "kyfan":
+            return v[..., : phi.k].sum(axis=-1)    # inf only when the value is
+        p = phi.p
+        return (np.square(v) if p == 2.0 else np.power(v, p)).sum(axis=-1)
+
+
+def _root(phi: SymNormFunc, total) -> float:
+    """The schatten:p value of a sum of p-th powers in the normal range."""
+    return float(np.sqrt(total) if phi.p == 2.0 else total ** (1.0 / phi.p))
+
+
 def _gauge_raw(phi: SymNormFunc, v: np.ndarray) -> float:
     """Evaluate the gauge on a raw nonnegative, nonincreasing array.
 
@@ -151,19 +169,41 @@ def _gauge_raw(phi: SymNormFunc, v: np.ndarray) -> float:
     """
     if v.size == 0:
         return 0.0
-    p = phi.p
-    if phi.kind == "schatten" and math.isinf(p):
+    if phi.kind == "schatten" and math.isinf(phi.p):
         return float(v[0])
-    # Only entries above 1 can overflow.  Entering np.errstate costs about
-    # 1.4 us, a tenth of boyd_estimate's time over its ~33k gauge calls.
-    with np.errstate(over="ignore") if v[0] > 1.0 else contextlib.nullcontext():
-        if phi.kind == "kyfan":
-            return float(v[: phi.k].sum())    # inf only when the value is
-        total = np.square(v).sum() if p == 2.0 else np.power(v, p).sum()
+    total = _totals(phi, v)
+    if phi.kind == "kyfan":
+        return float(total)
     if _TINY <= total < math.inf:
-        return float(np.sqrt(total) if p == 2.0 else total ** (1.0 / p))
+        return _root(phi, total)
     top = float(v.max())
     return top * _gauge_raw(phi, v / top) if top > 0.0 else 0.0
+
+
+def _flat_gauge(phi: SymNormFunc, k: int) -> float:
+    """``_gauge_raw`` of the flat vector 1_k, from k alone: the sum of k ones
+    is exactly k and 1^p is exactly 1, so only the root is left to take."""
+    if phi.kind == "kyfan":
+        return float(min(k, phi.k))
+    if math.isinf(phi.p):
+        return 1.0
+    return _root(phi, np.float64(k))
+
+
+def _row_gauges(phi: SymNormFunc, block: np.ndarray) -> list:
+    """``_gauge_raw`` of every row of a 2-d block, bit for bit.
+
+    Each row sums over its own length, as the 1-d call does, and each root
+    is the scalar expression of ``_gauge_raw``; a row whose sum leaves the
+    normal range falls back on ``_gauge_raw`` itself.
+    """
+    if phi.kind == "schatten" and math.isinf(phi.p):
+        return [float(x) for x in block[:, 0]]
+    totals = _totals(phi, block)
+    if phi.kind == "kyfan":
+        return [float(t) for t in totals]
+    return [_root(phi, t) if _TINY <= t < math.inf else _gauge_raw(phi, row)
+            for t, row in zip(totals, block)]
 
 
 def phi_eval(phi: SymNormFunc, xi) -> float:
@@ -333,32 +373,48 @@ def contract(m: int, xi) -> NonincreasingSequence:
     return NonincreasingSequence(_average(_as_sequence(xi).values, _as_block(m)))
 
 
-def _test_sequences(seq_len: int):
-    """The flat probes 1_1, ..., 1_L on which the dilation norms are taken.
+def _dilated_gauges(phi: SymNormFunc, m: int, seq_len: int):
+    """Gauges of D_m 1_j = 1_(mj) for j = 1, ..., L."""
+    return (_flat_gauge(phi, m * j) for j in range(1, seq_len + 1))
+
+
+def _contracted_gauges(phi: SymNormFunc, m: int, seq_len: int):
+    """Gauges of C_m 1_j for j = 1, ..., L, one block per image length.
+
+    C_m 1_j is l - 1 ones followed by r/m, with l = ceil(j/m) and
+    r = j - m(l - 1) in 1..m; the probes of one l are the rows of one block.
+    """
+    for start in range(0, seq_len, m):
+        rows = min(m, seq_len - start)
+        block = np.ones((rows, start // m + 1))
+        block[:, -1] = np.arange(1, rows + 1) / m
+        yield from _row_gauges(phi, block)
+
+
+def _probe_norm(phi: SymNormFunc, image_gauges, m: int, seq_len: int) -> float:
+    """Largest ratio gauge(op 1_j) / gauge(1_j) over the flat probes 1_1 ... 1_L.
 
     For the schatten and kyfan gauges both the repeat and the block-average
-    operator attain their norm on a flat vector.
+    operator attain their norm on a flat vector.  ``image_gauges`` yields the
+    numerators in order of j; no probe is built, since the gauge of 1_k
+    follows from k.
     """
-    for j in range(1, seq_len + 1):
-        yield np.ones(j)
-
-
-def _probe_norm(phi: SymNormFunc, op, m: int, seq_len: int) -> float:
-    """Largest gauge ratio of op(v, m) to v over the probe sequences."""
     if seq_len < 1:
         raise InputError("seq_len must be >= 1")
-    return max(_gauge_raw(phi, op(v, m)) / _gauge_raw(phi, v)
-               for v in _test_sequences(seq_len))
+    if seq_len > MAX_PROBE_LEN:
+        raise InputError(f"seq_len {seq_len} exceeds the limit {MAX_PROBE_LEN}")
+    return max(g / _flat_gauge(phi, j)
+               for j, g in enumerate(image_gauges(phi, m, seq_len), 1))
 
 
 def dilation_norm(phi: SymNormFunc, m: int, seq_len: int) -> float:
     """Norm of the m-fold repeat operator, maximised over flat probes."""
-    return _probe_norm(phi, np.repeat, _as_block(m), seq_len)
+    return _probe_norm(phi, _dilated_gauges, _as_block(m), seq_len)
 
 
 def contraction_norm(phi: SymNormFunc, m: int, seq_len: int) -> float:
     """Norm of the m-block averaging operator, maximised over flat probes."""
-    return _probe_norm(phi, _average, _as_block(m), seq_len)
+    return _probe_norm(phi, _contracted_gauges, _as_block(m), seq_len)
 
 
 @dataclass

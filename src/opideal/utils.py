@@ -73,6 +73,9 @@ DUAL_MIN_STEP = 2.0 ** -20  # smallest step the dual fixed point tries before it
 DUAL_MAX_ITER = 1000     # iteration cap of the dual fixed point
 UNIT_NORM_TOL = 1e-12    # a dilation norm this close to 1 counts as 1 (index +inf)
 MAX_GROUP_ORDER = 1024   # largest finite group built; its table holds |G|^2 indices
+MAX_PROBE_LEN = 512      # longest flat probe of the Boyd scan (boyd --cap), so m_max too
+MAX_EXPERIMENT_DIM = 256   # largest experiment size n; each trial builds an n x n matrix
+MAX_EXPERIMENT_TRIALS = 1000  # most experiment trials per size
 
 
 def unitary_bound(n: int) -> float:

@@ -5,8 +5,10 @@ package code: permuted Cholesky instead of block elimination, classical
 Gram-Schmidt instead of the Gram-matrix factorization, explicit
 permutation matrices and the dense Gram quotient for representations,
 element tuples for Cayley tables, constrained SLSQP ascent instead of
-the dual gauge's fixed point, and seeded random and hand-picked probe
-shapes next to the flat vectors of the dual estimate and the Boyd scan.
+the dual gauge's fixed point, seeded random and hand-picked probe
+shapes next to the flat vectors of the dual estimate and the Boyd scan,
+and the Boyd scan's flat probes built and gauged one array at a time
+where the package gauges them from their lengths.
 """
 
 import itertools
@@ -292,6 +294,21 @@ def full_family_contraction_norm(phi, m, seq_len, seed=0):
     family, its random draws from (seed, m, 1)."""
     return _full_family_probe_norm(phi, _average, m, seq_len,
                                    np.random.default_rng([seed, m, 1]))
+
+
+def _test_sequences(seq_len):
+    """The flat probes 1_1, ..., 1_L, built as arrays."""
+    for j in range(1, seq_len + 1):
+        yield np.ones(j)
+
+
+def flat_probe_norm(phi, op, m, seq_len):
+    """Largest gauge ratio of op(v, m) to v over the flat probes, each built
+    and gauged as an array: the Boyd scan's per-probe loop.  ``op`` is
+    ``np.repeat`` for the dilation norm and ``_average`` for the
+    contraction norm."""
+    return max(_gauge_raw(phi, op(v, m)) / _gauge_raw(phi, v)
+               for v in _test_sequences(seq_len))
 
 
 def _slsqp_ascent(phi, eta, delta0, max_iter, ftol):

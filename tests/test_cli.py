@@ -394,6 +394,33 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["boyd", "--mmax", "2", "--cap", "513"], "seq_len 513 exceeds the limit 512"),
+    (["boyd", "--mmax", "10**12", "--cap", "10**12"], "exceeds the limit 512"),
+    (["experiment", "truncation-growth", "--sizes", "4,257", "--trials", "1"],
+     "size 257 exceeds the limit 256"),
+    (["experiment", "truncation-growth", "--sizes", "10**12"], "exceeds the limit 256"),
+    (["experiment", "truncation-growth", "--sizes", "4", "--trials", "1001"],
+     "trials 1001 exceed the limit 1000"),
+    (["experiment", "truncation-growth", "--sizes", "4", "--trials", "10**12"],
+     "exceed the limit 1000"),
+], ids=["boyd-cap-513", "boyd-huge", "experiment-size-257", "experiment-size-huge",
+        "experiment-trials-1001", "experiment-trials-huge"])
+def test_scan_and_experiment_caps_refuse_before_building(capsys, argv, message):
+    argv = [str(10 ** 12) if a == "10**12" else a for a in argv]
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv + ["--phi", "schatten:1"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["code"] == "input-error"
+    assert message in err["message"]
+    assert peak < 2**20        # one 257 x 257 complex trial matrix is 1 MB
+
+
 @pytest.mark.parametrize("spec", ["z" + "9" * 5000, "z1025", "d513", "{file}"],
                          ids=["z-5000-digits", "z1025", "d513", "json-order-1025"])
 def test_group_order_cap_refuses_before_building(workdir, capsys, spec):

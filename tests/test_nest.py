@@ -14,7 +14,8 @@ from opideal import (Flag, InputError, Partition, SymNormFunc,
                      truncate_lower, truncate_upper, truncation_norm_experiment)
 from opideal.cli import main
 from opideal.serialize import save_flag, save_matrix
-from opideal.utils import crandn, dagger, frob, is_unitary
+from opideal.utils import (MAX_EXPERIMENT_DIM, MAX_EXPERIMENT_TRIALS, crandn, dagger,
+                           frob, is_unitary)
 
 from oracles import nest_membership_per_cut
 
@@ -355,6 +356,23 @@ def test_experiment_trace_gauge_trend_is_monotone():
                                       [4, 8, 16, 32, 64], trials=60, seed=7)
     ratios = [r for _, r in rows]
     assert all(b >= a for a, b in zip(ratios, ratios[1:]))
+
+
+def test_experiment_caps_are_checked_before_any_trial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+
+    phi = SymNormFunc.schatten(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(nest, "_trial_ratio", refuse)
+        for trials in (MAX_EXPERIMENT_TRIALS + 1, 10 ** 12):
+            with pytest.raises(InputError, match=f"trials {trials} exceed the limit 1000"):
+                truncation_norm_experiment(phi, [2], trials=trials, seed=1)
+        for n in (MAX_EXPERIMENT_DIM + 1, 10 ** 12):
+            with pytest.raises(InputError, match=f"size {n} exceeds the limit 256"):
+                truncation_norm_experiment(phi, [2, n, 4], trials=1, seed=1)
+    assert len(truncation_norm_experiment(phi, [1], MAX_EXPERIMENT_TRIALS, 1)) == 1
+    assert truncation_norm_experiment(phi, [MAX_EXPERIMENT_DIM], 1, 1)[0][0] == 256
 
 
 def test_experiment_deterministic():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from opideal import (InputError, NonincreasingSequence,
                      SymNormFunc, adjoint_phi_eval, boyd_estimate, contract,
-                     dilate, dilation_norm, dual_gauge, phi_eval, phi_norm,
-                     singular_values)
-from opideal.symfunc import _dual_candidates, _fixed_point_ratio, _test_sequences
-from opideal.utils import crandn, dagger
-from oracles import (full_family_contraction_norm, full_family_dilation_norm,
-                     full_family_dual_estimate, slsqp_dual_ascent)
+                     contraction_norm, dilate, dilation_norm, dual_gauge,
+                     phi_eval, phi_norm, singular_values, symfunc)
+from opideal.symfunc import _average, _dual_candidates, _fixed_point_ratio
+from opideal.utils import MAX_PROBE_LEN, crandn, dagger
+from oracles import (_test_sequences, flat_probe_norm, full_family_contraction_norm,
+                     full_family_dilation_norm, full_family_dual_estimate,
+                     slsqp_dual_ascent)
 
 
 def test_sequence_validation():
@@ -472,3 +473,79 @@ def test_boyd_scan_is_exact_on_flat_vectors():
     est = boyd_estimate(SymNormFunc.schatten(2), 8, 16)
     assert est.dilation_norms[4] == 2.0
     assert est.p_hat == 2.0
+
+
+_BOYD_GRID = [SymNormFunc.schatten(p) for p in
+              (1.0, 1.001, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 20.0, 100.0,
+               1000.0, math.inf)] + [
+             SymNormFunc.kyfan(k) for k in (1, 2, 3, 5, 8, 20, 300)]
+# every gauge on these; the long scans only where the per-probe oracle runs
+# them in a second or less: the workload's schatten:1.5, the underflowing
+# rows of schatten:1000, the near ties of schatten:1, and kyfan gauges whose
+# k lies below and above every row length
+_BOYD_CELLS = ((2, 2), (3, 7), (8, 16), (16, 64))
+_BOYD_LONG = {"schatten:1": (32, 256), "schatten:1.5": (64, 256),
+              "schatten:1000": (32, 256), "kyfan:2": (32, 256),
+              "kyfan:300": (32, 256)}
+
+
+@pytest.mark.parametrize("phi", _BOYD_GRID, ids=str)
+def test_boyd_norms_equal_the_per_probe_loop(phi):
+    # the gauges come from probe lengths and one block per image length, and
+    # still equal, bit for bit, the ratios of probes built one at a time
+    cells = _BOYD_CELLS + ((_BOYD_LONG[str(phi)],) if str(phi) in _BOYD_LONG else ())
+    for m_max, seq_len in cells:
+        est = boyd_estimate(phi, m_max, seq_len)
+        for m in range(2, m_max + 1):
+            ref = flat_probe_norm(phi, np.repeat, m, seq_len)
+            assert dilation_norm(phi, m, seq_len) == est.dilation_norms[m] == ref
+            ref = flat_probe_norm(phi, _average, m, seq_len)
+            assert contraction_norm(phi, m, seq_len) == est.contraction_norms[m] == ref
+
+
+def _count_gauge_calls(monkeypatch):
+    calls = []
+    gauge = symfunc._gauge_raw
+
+    def counted(phi, v):
+        calls.append(v.size)
+        return gauge(phi, v)
+
+    monkeypatch.setattr(symfunc, "_gauge_raw", counted)
+    return calls
+
+
+def test_boyd_scan_gauges_lengths_not_arrays(monkeypatch):
+    # a guard by count, not time: the per-probe loop made 31,744 calls here
+    calls = _count_gauge_calls(monkeypatch)
+    boyd_estimate(SymNormFunc.schatten(1.5), 32, 256)
+    assert len(calls) < 1000
+
+
+def test_underflowing_rows_fall_back_on_the_scaled_gauge(monkeypatch):
+    # (r/32)^1000 underflows for the single-entry images r/32 with r < 16, so
+    # those 15 rows call the 1-d gauge, which recomputes on v / max v
+    calls = _count_gauge_calls(monkeypatch)
+    phi = SymNormFunc.schatten(1000)
+    norm = contraction_norm(phi, 32, 256)
+    assert len(calls) == 2 * 15 and set(calls) == {1}
+    monkeypatch.undo()
+    assert norm == flat_probe_norm(phi, _average, 32, 256)
+
+
+def test_probe_length_cap_is_checked_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a probe was gauged")
+
+    monkeypatch.setattr(symfunc, "_flat_gauge", refuse)
+    phi = SymNormFunc.schatten(2)
+    for seq_len in (MAX_PROBE_LEN + 1, 10 ** 12):
+        message = f"seq_len {seq_len} exceeds the limit {MAX_PROBE_LEN}"
+        for call in (lambda: dilation_norm(phi, 2, seq_len),
+                     lambda: contraction_norm(phi, 2, seq_len),
+                     lambda: boyd_estimate(phi, 2, seq_len),
+                     lambda: boyd_estimate(phi, seq_len, seq_len)):
+            with pytest.raises(InputError, match=message):
+                call()
+    monkeypatch.undo()
+    assert boyd_estimate(phi, 2, MAX_PROBE_LEN).seq_len == MAX_PROBE_LEN
