@@ -414,31 +414,37 @@ def _render(report) -> str:
         raise DomainError("a report value lies outside the double range") from None
 
 
-def _emit(report, output) -> None:
-    text = _render(report)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _error(code: str, message) -> str:
+    return _render({"error": {"code": code, "message": str(message)}})
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    status = 1
     try:
-        report = _render(args.func(args))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            text, status = _render(args.func(args)), 0
     except InputError as exc:
-        _emit({"error": {"code": "input-error", "message": str(exc)}}, args.output)
-        return 1
+        text = _error("input-error", exc)
     except DomainError as exc:
-        _emit({"error": {"code": "domain-error", "message": str(exc)}}, args.output)
-        return 1
+        text = _error("domain-error", exc)
+    except (FloatingPointError, OverflowError):
+        # finite input whose computation leaves the double range: a product
+        # of entries near 1e300, or a square of entries near 1e-300 that
+        # underflows to a zero divisor; gauges that rescale opt out locally
+        text = _error("domain-error", "a computed value is not a finite double")
     except OSError as exc:
-        _emit({"error": {"code": "io-error", "message": str(exc)}}, args.output)
-        return 1
-    _emit(report, args.output)
-    return 0
+        text = _error("io-error", exc)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+            return status
+        except OSError as exc:    # the report cannot be written: say so on stdout
+            text, status = _error("io-error", exc), 1
+    sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -239,6 +239,14 @@ def truncation_norm_experiment(phi: SymNormFunc, n_list, trials: int,
         raise InputError("sizes must be positive")
     if max(sizes, default=0) > MAX_EXPERIMENT_DIM:
         raise InputError(f"size {max(sizes)} exceeds the limit {MAX_EXPERIMENT_DIM}")
+    # a trial costs O(n^3), and at least a fixed overhead; a size listed
+    # twice repeats its row, so more entries than sizes add nothing
+    if len(sizes) > MAX_EXPERIMENT_DIM:
+        raise InputError(f"{len(sizes)} sizes exceed the limit {MAX_EXPERIMENT_DIM}")
+    work = trials * sum(n ** 3 for n in sizes)
+    if work > MAX_EXPERIMENT_TRIALS * MAX_EXPERIMENT_DIM ** 3:
+        raise InputError(f"trials x sum of n^3 is {work}, over the limit "
+                         f"{MAX_EXPERIMENT_TRIALS} x {MAX_EXPERIMENT_DIM}^3")
     rows = []
     for n in sizes:
         part = Partition.maximal(Flag.standard(n))

@@ -6,7 +6,8 @@ families are provided: the ``schatten`` gauges (the ell^p length) and the
 ``kyfan`` gauges (sum of the k leading entries).  Evaluated on singular
 values they give the unitarily invariant matrix norms.  The module also
 gives the dual gauge in closed form together with an independent numeric
-lower bound, and estimates the dilation growth exponents (Boyd indices) by
+lower bound, the pairing ratio of e1, 1_n and the Hoelder maximiser of
+eta, and estimates the dilation growth exponents (Boyd indices) by
 a finite scan over block dilations of the flat probes 1_1 ... 1_L.  The
 scan builds no probe: the gauge of 1_k follows from k, and the block
 averages of the probes are gauged one block of equal-length images at a
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .utils import (DUAL_MAX_ITER, DUAL_MIN_STEP, DUAL_RISE_TOL, MAX_PROBE_LEN,
-                    SINGULAR_CLIP, UNIT_NORM_TOL, as_matrix)
+from .utils import MAX_PROBE_LEN, SINGULAR_CLIP, UNIT_NORM_TOL, as_matrix
 
 _TINY = np.finfo(float).tiny    # smallest normal float
 
@@ -191,18 +191,20 @@ def _flat_gauge(phi: SymNormFunc, k: int) -> float:
 
 
 def _row_gauges(phi: SymNormFunc, block: np.ndarray) -> list:
-    """``_gauge_raw`` of every row of a 2-d block, bit for bit.
+    """``_gauge_raw`` of every row of a block of contracted probes, bit for bit.
 
     Each row sums over its own length, as the 1-d call does, and each root
-    is the scalar expression of ``_gauge_raw``; a row whose sum leaves the
-    normal range falls back on ``_gauge_raw`` itself.
+    is the scalar expression of ``_gauge_raw``.
     """
     if phi.kind == "schatten" and math.isinf(phi.p):
         return [float(x) for x in block[:, 0]]
     totals = _totals(phi, block)
     if phi.kind == "kyfan":
         return [float(t) for t in totals]
-    return [_root(phi, t) if _TINY <= t < math.inf else _gauge_raw(phi, row)
+    # Every entry is at most 1, so no sum overflows, and a row of two or more
+    # entries starts with a 1, so its sum is at least 1: only a single entry
+    # r/m can underflow, and _gauge_raw rescales it to [1.0] and returns r/m.
+    return [_root(phi, t) if t >= _TINY else float(row[-1])
             for t, row in zip(totals, block)]
 
 
@@ -276,57 +278,16 @@ def _dual_candidates(eta: np.ndarray):
         yield np.ones(n)
 
 
-def _fixed_point_ratio(phi: SymNormFunc, eta: np.ndarray) -> float:
-    """Pairing ratio at the multiplicative fixed point of an ell^p gauge, 1 < p < inf.
-
-    The maximiser satisfies the KKT condition eta ~ grad phi(xi), with
-    grad phi(xi) = (xi / phi(xi))^(p-1).  The iteration is a relative of
-    D. W. Boyd's power method for ell^p norms (Linear Algebra Appl. 9, 1974):
-    xi <- xi (eta / grad phi(xi))^a, renormalised to max 1, taken in
-    logarithms on supp(eta) only: an entry of xi that starts at zero stays
-    zero, and grad phi is 0/0 there.  It starts from xi = eta.  The step a
-    halves until the ratio rises and then doubles back, capped at 1; the
-    iteration stops once the ratio stops rising.  The value returned is the
-    ratio of an actual xi >= 0, so it is a lower bound.  With a = 1 and p > 2
-    the update may reorder xi, which the permutation-invariant gauge allows.
-    """
-    p = phi.p
-    eta = eta[eta > 0.0]
-    log_eta = np.log(eta)
-    log_xi = log_eta - log_eta.max()
-    xi = np.exp(log_xi)
-    ratio = _pairing_ratio(phi, xi, eta)
-    a = 1.0
-    for _ in range(DUAL_MAX_ITER):
-        log_grad = (p - 1.0) * (log_xi - math.log(_gauge_raw(phi, xi)))
-        direction = log_eta - log_grad
-        while True:
-            trial = log_xi + a * direction
-            trial -= trial.max()
-            xi_trial = np.exp(trial)
-            r = _pairing_ratio(phi, xi_trial, eta)
-            if r > ratio:
-                break
-            a /= 2.0
-            if a < DUAL_MIN_STEP:
-                return ratio
-        rise = r - ratio
-        log_xi, xi, ratio = trial, xi_trial, r
-        if rise <= DUAL_RISE_TOL * ratio:
-            break
-        a = min(1.0, 2.0 * a)
-    return ratio
-
-
 def adjoint_phi_eval(phi: SymNormFunc, eta) -> DualNormResult:
     """Dual gauge value: sup over sorted xi >= 0 of <xi, eta> / gauge(xi).
 
     The numeric estimate is the best pairing ratio over e1 and the
     all-ones vector, which hold the maximiser of schatten:1, schatten:inf
-    and every kyfan:k, and, for the other schatten gauges, the
-    multiplicative fixed point of the KKT condition.  It is a lower bound
-    on the supremum, computed from the gauge and its gradient alone, and
-    it is deterministic.  The exact value is returned alongside: ell^q
+    and every kyfan:k, and, for schatten:p with 1 < p < inf, the Hoelder
+    maximiser xi = (eta / eta_1)^(1/(p-1)), at which <xi, eta> equals
+    ||xi||_p ||eta||_q.  It is the pairing ratio of explicit feasible
+    vectors, so a lower bound computed through the gauge alone, and it is
+    deterministic.  The exact value is returned alongside: ell^q
     (1/p + 1/q = 1) for schatten:p and max(eta_1, sum / k) for kyfan:k
     (Bhatia, Matrix Analysis, ch. IV).
     """
@@ -334,11 +295,13 @@ def adjoint_phi_eval(phi: SymNormFunc, eta) -> DualNormResult:
     if eta.values.size == 0 or eta.values[0] == 0.0:
         raise InputError("eta must be nonzero")
     ev = eta.values
-    # a pairing or kyfan sum that overflows is recomputed on scaled entries
-    with np.errstate(over="ignore"):
+    # a pairing or kyfan sum that overflows is recomputed on scaled entries;
+    # an entry of the Hoelder maximiser below the float range is a zero
+    with np.errstate(over="ignore", under="ignore"):
         best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev))
         if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
-            best = max(best, _fixed_point_ratio(phi, ev))
+            xi = np.power(ev / ev[0], 1.0 / (phi.p - 1.0))
+            best = max(best, _pairing_ratio(phi, xi, ev))
 
         if phi.kind == "kyfan":
             closed = max(float(ev[0]), float(ev.sum()) / phi.k)

@@ -68,9 +68,6 @@ NULLITY_TOL = 1e-9       # commutant singular values relative to the largest
 GNS_TOL = 1e-10          # a mean given to the GNS construction: probability and invariance
 ZERO_TOL = 1e-12         # mean weights: a weight, imaginary or negative part, or sum - 1 is 0
 REPORT_TOL = 1e-9        # CLI report check: nest membership of the qr-nest factor b
-DUAL_RISE_TOL = 1e-16    # dual fixed point stops once the pairing ratio rises less, relatively
-DUAL_MIN_STEP = 2.0 ** -20  # smallest step the dual fixed point tries before it stops
-DUAL_MAX_ITER = 1000     # iteration cap of the dual fixed point
 UNIT_NORM_TOL = 1e-12    # a dilation norm this close to 1 counts as 1 (index +inf)
 MAX_GROUP_ORDER = 1024   # largest finite group built; its table holds |G|^2 indices
 MAX_PROBE_LEN = 512      # longest flat probe of the Boyd scan (boyd --cap), so m_max too

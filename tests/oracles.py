@@ -4,8 +4,9 @@ Everything here is deliberately written by a different route than the
 package code: permuted Cholesky instead of block elimination, classical
 Gram-Schmidt instead of the Gram-matrix factorization, explicit
 permutation matrices and the dense Gram quotient for representations,
-element tuples for Cayley tables, constrained SLSQP ascent instead of
-the dual gauge's fixed point, seeded random and hand-picked probe
+element tuples for Cayley tables, constrained SLSQP ascent and the
+multiplicative KKT fixed point instead of the dual gauge's Hoelder
+maximiser written down in closed form, seeded random and hand-picked probe
 shapes next to the flat vectors of the dual estimate and the Boyd scan,
 and the Boyd scan's flat probes built and gauged one array at a time
 where the package gauges them from their lengths.
@@ -19,7 +20,7 @@ from scipy.optimize import minimize
 
 from opideal import Flag, UnitaryRep, project, symmetric_group
 from opideal.classical import _relations
-from opideal.symfunc import _average, _fixed_point_ratio, _gauge_raw, _pairing_ratio
+from opideal.symfunc import _average, _gauge_raw, _pairing_ratio
 from opideal.utils import crandn, dagger, frob, opnorm
 
 GRAM_CLIP = 1e-12   # Gram weights below this times the largest span nothing
@@ -240,6 +241,49 @@ def _flat_prefix_candidates(eta, rng):
     yield from _shadows_and_random_draws(eta, rng)
 
 
+def fixed_point_ratio(phi, eta):
+    """Pairing ratio at the multiplicative fixed point of an ell^p gauge, 1 < p < inf.
+
+    The maximiser satisfies the KKT condition eta ~ grad phi(xi), with
+    grad phi(xi) = (xi / phi(xi))^(p-1).  The iteration is a relative of
+    D. W. Boyd's power method for ell^p norms (Linear Algebra Appl. 9, 1974):
+    xi <- xi (eta / grad phi(xi))^a, renormalised to max 1, taken in
+    logarithms on supp(eta) only.  It starts from xi = eta.  The step a
+    halves until the ratio rises and then doubles back, capped at 1; the
+    iteration stops once the ratio rises by less than ``rise_tol``
+    relatively, no step down to ``min_step`` raises it, or after
+    ``max_iter`` steps.  The value is the ratio of an actual xi >= 0, so a
+    lower bound, reached by ascent rather than written down.
+    """
+    rise_tol, min_step, max_iter = 1e-16, 2.0 ** -20, 1000
+    p = phi.p
+    eta = eta[eta > 0.0]
+    log_eta = np.log(eta)
+    log_xi = log_eta - log_eta.max()
+    xi = np.exp(log_xi)
+    ratio = _pairing_ratio(phi, xi, eta)
+    a = 1.0
+    for _ in range(max_iter):
+        log_grad = (p - 1.0) * (log_xi - math.log(_gauge_raw(phi, xi)))
+        direction = log_eta - log_grad
+        while True:
+            trial = log_xi + a * direction
+            trial -= trial.max()
+            xi_trial = np.exp(trial)
+            r = _pairing_ratio(phi, xi_trial, eta)
+            if r > ratio:
+                break
+            a /= 2.0
+            if a < min_step:
+                return ratio
+        rise = r - ratio
+        log_xi, xi, ratio = trial, xi_trial, r
+        if rise <= rise_tol * ratio:
+            break
+        a = min(1.0, 2.0 * a)
+    return ratio
+
+
 def full_family_dual_estimate(phi, eta, seed=7):
     """The dual estimate over the full candidate family: e1, 1_n, the
     power-law shadows of eta and four random sorted vectors drawn from the
@@ -252,7 +296,7 @@ def full_family_dual_estimate(phi, eta, seed=7):
     with np.errstate(over="ignore"):
         best = max(_pairing_ratio(phi, xi, eta) for xi in cands)
         if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
-            best = max(best, _fixed_point_ratio(phi, eta))
+            best = max(best, fixed_point_ratio(phi, eta))
     return best
 
 

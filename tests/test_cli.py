@@ -394,6 +394,29 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("argv, entries", [
+    (["cartan", "--type", "B"], [1e300, 1e300]),     # ||g||^2 overflows a float
+    (["cartan", "--type", "A"], [1e-301]),           # g* g underflows to a zero divisor
+    (["qr-nest"], [1e300, 1e300]),                   # the residual norms overflow
+], ids=["cartan-overflow", "cartan-underflow", "qr-nest-overflow"])
+def test_computations_leaving_the_double_range_are_domain_errors(tmp_path, capsys, argv,
+                                                                 entries):
+    save_matrix(tmp_path / "d.json", np.diag(entries))
+    code, out = run_cli(argv + ["--matrix", str(tmp_path / "d.json")], capsys)
+    assert code == 1
+    assert _strict_json(out)["error"] == {
+        "code": "domain-error", "message": "a computed value is not a finite double"}
+
+
+def test_unwritable_output_is_an_io_error_on_stdout(workdir, capsys):
+    for argv in (["svalues", "--matrix", str(workdir / "m.json")],
+                 ["svalues", "--matrix", str(workdir / "missing.json")]):
+        code, out = run_cli(argv + ["--output", str(workdir / "no" / "r.json")], capsys)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "io-error" and "r.json" in err["message"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["boyd", "--mmax", "2", "--cap", "513"], "seq_len 513 exceeds the limit 512"),
     (["boyd", "--mmax", "10**12", "--cap", "10**12"], "exceeds the limit 512"),
@@ -404,8 +427,13 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
      "trials 1001 exceed the limit 1000"),
     (["experiment", "truncation-growth", "--sizes", "4", "--trials", "10**12"],
      "exceed the limit 1000"),
+    (["experiment", "truncation-growth", "--sizes", "256,256", "--trials", "1000"],
+     "over the limit 1000 x 256^3"),
+    (["experiment", "truncation-growth", "--sizes", ",".join(["1"] * 257)],
+     "257 sizes exceed the limit 256"),
 ], ids=["boyd-cap-513", "boyd-huge", "experiment-size-257", "experiment-size-huge",
-        "experiment-trials-1001", "experiment-trials-huge"])
+        "experiment-trials-1001", "experiment-trials-huge", "experiment-work",
+        "experiment-entries"])
 def test_scan_and_experiment_caps_refuse_before_building(capsys, argv, message):
     argv = [str(10 ** 12) if a == "10**12" else a for a in argv]
     tracemalloc.start()

@@ -371,6 +371,15 @@ def test_experiment_caps_are_checked_before_any_trial(monkeypatch):
         for n in (MAX_EXPERIMENT_DIM + 1, 10 ** 12):
             with pytest.raises(InputError, match=f"size {n} exceeds the limit 256"):
                 truncation_norm_experiment(phi, [2, n, 4], trials=1, seed=1)
+        with pytest.raises(InputError, match="over the limit 1000 x 256"):
+            truncation_norm_experiment(phi, [256, 256], MAX_EXPERIMENT_TRIALS, 1)
+        with pytest.raises(InputError, match="257 sizes exceed the limit 256"):
+            truncation_norm_experiment(phi, [1] * 257, 1, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(nest, "_trial_ratio", lambda *args: 0.0)
+        assert truncation_norm_experiment(
+            phi, [MAX_EXPERIMENT_DIM], MAX_EXPERIMENT_TRIALS, 1) == [(256, 0.0)]
+        assert len(truncation_norm_experiment(phi, [1] * 256, MAX_EXPERIMENT_TRIALS, 1)) == 256
     assert len(truncation_norm_experiment(phi, [1], MAX_EXPERIMENT_TRIALS, 1)) == 1
     assert truncation_norm_experiment(phi, [MAX_EXPERIMENT_DIM], 1, 1)[0][0] == 256
 

@@ -80,3 +80,17 @@ def test_readme_names_every_utils_constant():
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     missing = [name for name in names if not re.search(rf"`{name}\b", readme)]
     assert missing == [], f"utils constants missing from README.md: {missing}"
+
+
+def _readme_table_constants(readme):
+    """Backticked names in the first column of every table under "## Tolerances"."""
+    section = readme.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+
+
+def test_readme_tolerance_rows_name_only_utils_constants():
+    names = _module_constants(PACKAGE / "utils.py")
+    listed = _readme_table_constants((PACKAGE.parents[1] / "README.md").read_text())
+    assert "COND_LIMIT" in listed and "MAX_GROUP_ORDER" in listed
+    stale = [name for name in listed if name not in names]
+    assert stale == [], f"README.md rows for constants not in utils: {stale}"
