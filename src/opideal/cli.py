@@ -12,6 +12,7 @@ accept ``--seed`` without using it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -113,13 +114,8 @@ def _cmd_truncate(args):
     d = nest.truncate_diag(part, x)
     u = nest.truncate_upper(part, x)
     low = nest.truncate_lower(part, x)
-    return {
-        "cuts": list(part.cuts),
-        "diag": serialize.matrix_to_obj(d),
-        "upper": serialize.matrix_to_obj(u),
-        "lower": serialize.matrix_to_obj(low),
-        "residuals": {"sum": _rel(frob(d + u + low - x), frob(x))},
-    }
+    return {"cuts": list(part.cuts), "diag": d, "upper": u, "lower": low,
+            "residuals": {"sum": _rel(frob(d + u + low - x), frob(x))}}
 
 
 def _cmd_integral(args):
@@ -128,9 +124,7 @@ def _cmd_integral(args):
     low, d, u = nest.triangular_integral(flag, x)
     part = nest.Partition.maximal(flag)
     return {
-        "lower": serialize.matrix_to_obj(low),
-        "diag": serialize.matrix_to_obj(d),
-        "upper": serialize.matrix_to_obj(u),
+        "lower": low, "diag": d, "upper": u,
         "residuals": {
             "sum": _rel(frob(low + d + u - x), frob(x)),
             "adjoint_lower": frob(nest.truncate_lower(part, dagger(x)) - dagger(u)),
@@ -148,8 +142,7 @@ def _cmd_ldl_nest(args):
     recon = (eye + factors.r) @ factors.d @ dagger(eye + factors.r)
     return {
         "cuts": list(part.cuts),
-        "r": serialize.matrix_to_obj(factors.r),
-        "d": serialize.matrix_to_obj(factors.d),
+        "r": factors.r, "d": factors.d,
         "residuals": {
             "reconstruction": _rel(frob(recon - a), frob(a)),
             "strict_upper": frob(nest.truncate_upper(part, factors.r) - factors.r),
@@ -164,8 +157,7 @@ def _cmd_qr_nest(args):
     factors = factor.qb_nest(g, flag)
     eye = np.eye(g.shape[0])
     return {
-        "u": serialize.matrix_to_obj(factors.u),
-        "b": serialize.matrix_to_obj(factors.b),
+        "u": factors.u, "b": factors.b,
         "residuals": {
             "reconstruction": _rel(frob(factors.u @ factors.b - g), frob(g)),
             "unitarity": frob(dagger(factors.u) @ factors.u - eye),
@@ -187,8 +179,7 @@ def _cmd_cartan(args):
     eye = np.eye(g.shape[0])
     return {
         "type": args.type,
-        "k": serialize.matrix_to_obj(factors.k),
-        "x": serialize.matrix_to_obj(factors.x),
+        "k": factors.k, "x": factors.x,
         "residuals": {
             "reconstruction": _rel(frob(factors.k @ expx - g), frob(g)),
             "k_unitarity": frob(dagger(factors.k) @ factors.k - eye),
@@ -207,9 +198,7 @@ def _cmd_iwasawa(args):
     factors = classical.iwasawa_decompose(g, x0)
     eye = np.eye(g.shape[0])
     return {
-        "k": serialize.matrix_to_obj(factors.k),
-        "a": serialize.matrix_to_obj(factors.a),
-        "n": serialize.matrix_to_obj(factors.n),
+        "k": factors.k, "a": factors.a, "n": factors.n,
         "residuals": {
             "reconstruction": _rel(frob(factors.k @ factors.a @ factors.n - g), frob(g)),
             "k_unitarity": frob(dagger(factors.k) @ factors.k - eye),
@@ -227,17 +216,15 @@ def _cmd_hc(args):
              @ factors.kappa
              @ harish.lower_unipotent(factors.zminus, split))
     report = {
-        "zplus": serialize.matrix_to_obj(factors.zplus),
-        "kappa": serialize.matrix_to_obj(factors.kappa),
-        "zminus": serialize.matrix_to_obj(factors.zminus),
+        "zplus": factors.zplus, "kappa": factors.kappa, "zminus": factors.zminus,
         "residuals": {"reconstruction": _rel(frob(recon - g), frob(g))},
     }
     if args.z:
         z = serialize.load_matrix(args.z)
         report["domain"] = harish.hc_domain_test(g, z, split)
         if report["domain"]:
-            report["action"] = serialize.matrix_to_obj(harish.hc_action(g, z, split))
-            report["cocycle"] = serialize.matrix_to_obj(harish.hc_cocycle(g, z, split))
+            report["action"] = harish.hc_action(g, z, split)
+            report["cocycle"] = harish.hc_cocycle(g, z, split)
     return report
 
 
@@ -248,7 +235,7 @@ def _cmd_mean(args):
     return {
         "group": group.name or args.group,
         "order": group.order,
-        "weights": serialize.complex_to_pairs(mu.weights),
+        "weights": mu.weights,
         "unique": len(means) == 1,
         "invariance_residual": amenable.invariance_residual(group, mu.weights.real),
     }
@@ -263,7 +250,7 @@ def _cmd_gns(args):
     return {
         "group": group.name or args.group,
         "dim": rep.dim,
-        "character": serialize.complex_to_pairs(char),
+        "character": char,
         "matches_regular_character": bool(np.array_equal(char, regular)),
     }
 
@@ -273,10 +260,7 @@ def _cmd_arens(args):
     mu = serialize.load_functional(args.mu, group)
     nu = serialize.load_functional(args.nu, group)
     prod = amenable.arens_product(mu, nu)
-    return {
-        "group": group.name or args.group,
-        "weights": serialize.complex_to_pairs(prod.weights),
-    }
+    return {"group": group.name or args.group, "weights": prod.weights}
 
 
 def _cmd_experiment(args):
@@ -405,11 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _render(report) -> str:
-    """CSV as given; anything else as strict JSON, whose numbers are finite."""
+    """CSV as given; anything else as strict JSON with finite numbers and
+    each array encoded by ``serialize`` as it is reached."""
     if isinstance(report, str):
         return report
-    try:
-        return json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    try:   # a report is a tree: no cycle check on each matrix's many pair lists
+        return json.dumps(report, sort_keys=True, allow_nan=False, check_circular=False,
+                          default=serialize.array_to_obj) + "\n"
+    except InputError:      # a non-finite array, named as the loaders name it
+        raise
     except ValueError:
         raise DomainError("a report value lies outside the double range") from None
 
@@ -422,6 +410,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     status = 1
+    gc_was_enabled = gc.isenabled()
+    gc.disable()   # matrix JSON is many small lists, none in a cycle: GC passes find nothing
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             text, status = _render(args.func(args)), 0
@@ -436,6 +426,9 @@ def main(argv=None) -> int:
         text = _error("domain-error", "a computed value is not a finite double")
     except OSError as exc:
         text = _error("io-error", exc)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if args.output:
         try:
             with open(args.output, "w") as fh:

@@ -3,12 +3,13 @@
 Matrix JSON: ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with the
 data flat in row-major order.  Flag JSON wraps a matrix plus the nested
 dimensions; group JSON carries the Cayley table; sequences are CSV with
-one nonnegative real per line.
+one nonnegative real per line.  Reports encode their arrays by ``array_to_obj``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .symfunc import NonincreasingSequence
 from .utils import MAX_GROUP_ORDER, as_matrix
 
 __all__ = [
-    "complex_to_pairs",
+    "complex_to_pairs", "array_to_obj",
     "matrix_to_obj", "matrix_from_obj", "save_matrix", "load_matrix",
     "flag_from_obj", "save_flag", "load_flag",
     "sequence_from_csv", "load_sequence",
@@ -56,14 +57,12 @@ def _load_json(path):
 
 def _complex_pairs(data: list, field: str) -> np.ndarray:
     """A list of [re, im] pairs as a flat complex array."""
-    try:
-        pairs = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InputError(f"field {field!r} must be a list of [re, im] pairs")
-    # Each C-contiguous (re, im) row of float64 is one complex128.
-    return pairs.view(complex).ravel()
+    if set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}:
+        try:   # each (re, im) pair of float64 is one complex128
+            return np.fromiter(chain.from_iterable(data), float, 2 * len(data)).view(complex)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"field {field!r} must be a list of [re, im] pairs")
 
 
 def complex_to_pairs(values) -> list:
@@ -75,8 +74,15 @@ def complex_to_pairs(values) -> list:
 
 def matrix_to_obj(m) -> dict:
     m = as_matrix(m)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": complex_to_pairs(m)}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": complex_to_pairs(m)}
+
+
+def array_to_obj(a):
+    """The ``default`` of a report's ``json.dumps``: a 2-d array as a matrix object,
+    a 1-d one as pairs.  Encoded as it is reached, one array's lists live at a time."""
+    if isinstance(a, np.ndarray) and a.ndim in (1, 2):
+        return matrix_to_obj(a) if a.ndim == 2 else complex_to_pairs(a)
+    raise TypeError(f"{type(a).__name__} is not JSON serializable")
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -95,7 +101,7 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 def save_matrix(path, m) -> None:
     with open(path, "w") as fh:
-        json.dump(matrix_to_obj(m), fh)
+        fh.write(json.dumps(matrix_to_obj(m)))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -114,7 +120,7 @@ def flag_from_obj(obj) -> Flag:
 
 def save_flag(path, flag: Flag) -> None:
     with open(path, "w") as fh:
-        json.dump({"basis": matrix_to_obj(flag.basis), "dims": list(flag.dims)}, fh)
+        fh.write(json.dumps({"basis": matrix_to_obj(flag.basis), "dims": list(flag.dims)}))
 
 
 def load_flag(path) -> Flag:

@@ -8,18 +8,23 @@ element tuples for Cayley tables, constrained SLSQP ascent and the
 multiplicative KKT fixed point instead of the dual gauge's Hoelder
 maximiser written down in closed form, seeded random and hand-picked probe
 shapes next to the flat vectors of the dual estimate and the Boyd scan,
-and the Boyd scan's flat probes built and gauged one array at a time
-where the package gauges them from their lengths.
+the Boyd scan's flat probes built and gauged one array at a time
+where the package gauges them from their lengths, numpy's nested-list
+conversion where the matrix loader streams [re, im] pairs into one float
+array, and reports whose arrays are all encoded before ``json.dumps``
+where the command line encodes each one as the report is written.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 from scipy.optimize import minimize
 
-from opideal import Flag, UnitaryRep, project, symmetric_group
+from opideal import Flag, InputError, UnitaryRep, project, symmetric_group
 from opideal.classical import _relations
+from opideal.serialize import complex_to_pairs, matrix_to_obj
 from opideal.symfunc import _average, _gauge_raw, _pairing_ratio
 from opideal.utils import crandn, dagger, frob, opnorm
 
@@ -402,3 +407,30 @@ def slsqp_dual_ascent(phi, eta, seed=7, restarts=2, max_iter=80, ftol=1e-9):
         if d0.max() > 0.0:
             best = max(best, _slsqp_ascent(phi, eta, d0, max_iter, ftol))
     return best
+
+
+def complex_pairs_by_asarray(data, field):
+    """A list of [re, im] pairs as a flat complex array, by numpy's
+    conversion of the whole nested list."""
+    try:
+        pairs = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError(f"field {field!r} must be a list of [re, im] pairs")
+    return pairs.view(complex).ravel()
+
+
+def _encoded(value):
+    """The report with every array replaced by its JSON form."""
+    if isinstance(value, dict):
+        return {k: _encoded(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return matrix_to_obj(value) if value.ndim == 2 else complex_to_pairs(value)
+    return value
+
+
+def eager_report_json(report):
+    """A report as the command line printed it when each handler encoded its
+    arrays itself: all at once, before one ``json.dumps``."""
+    return json.dumps(_encoded(report), sort_keys=True, allow_nan=False) + "\n"

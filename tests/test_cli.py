@@ -417,6 +417,48 @@ def test_unwritable_output_is_an_io_error_on_stdout(workdir, capsys):
         assert err["code"] == "io-error" and "r.json" in err["message"]
 
 
+@pytest.mark.parametrize("gc_before", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, outcome", [
+    (["svalues", "--matrix", "{m}"], 0),
+    (["svalues", "--matrix", "{bad}"], "input-error"),
+    (["qr-nest", "--matrix", "{huge}"], "domain-error"),
+    (["svalues", "--matrix", "{missing}"], "io-error"),
+    (["svalues", "--matrix", "{m}", "--output", "{missing}/r.json"], "io-error"),
+    (["svalues", "--matrix", "{m}", "--bogus"], 2),
+], ids=["report", "input-error", "domain-error", "io-error", "output-io-error", "argparse"])
+def test_main_restores_the_callers_gc_state(workdir, capsys, monkeypatch, gc_before,
+                                            argv, outcome):
+    import gc
+    from opideal import serialize
+    (workdir / "bad.json").write_text('{"rows": 1, "cols": 1, "data": [[1.0]]}')
+    save_matrix(workdir / "huge.json", np.diag([1e300, 1e300]))
+    paths = {k: workdir / f"{k}.json" for k in ("m", "bad", "huge", "missing")}
+    argv = [a.format(**paths) for a in argv]
+    seen = []
+    load = serialize.load_matrix
+    monkeypatch.setattr(serialize, "load_matrix",
+                        lambda path: seen.append(gc.isenabled()) or load(path))
+    was = gc.isenabled()
+    try:
+        gc.enable() if gc_before else gc.disable()
+        if outcome == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+        else:
+            code = main(argv)
+        after = gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+    assert after is gc_before
+    assert seen == ([] if outcome == 2 else [False])    # paused while the command runs
+    out = capsys.readouterr().out
+    if isinstance(outcome, int):
+        assert code == outcome
+    else:
+        assert code == 1 and json.loads(out)["error"]["code"] == outcome
+
+
 @pytest.mark.parametrize("argv, message", [
     (["boyd", "--mmax", "2", "--cap", "513"], "seq_len 513 exceeds the limit 512"),
     (["boyd", "--mmax", "10**12", "--cap", "10**12"], "exceeds the limit 512"),

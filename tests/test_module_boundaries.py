@@ -73,3 +73,16 @@ def test_guard_sees_each_form_of_access():
     assert [name for _, name in foreign_private_reads(source)] == [
         "_trailing_elimination", "classical._eigh_fun", "sf._gauge_raw",
         "opideal.nest._truncate", "u._private"]
+
+
+def test_cli_leaves_the_array_format_to_serialize():
+    """Reports carry arrays; ``serialize`` alone decides their JSON form."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    assert not names & {"matrix_to_obj", "complex_to_pairs"}
