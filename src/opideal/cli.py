@@ -438,7 +438,3 @@ def main(argv=None) -> int:
             text, status = _error("io-error", exc), 1
     sys.stdout.write(text)
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -439,6 +439,7 @@ def test_main_restores_the_callers_gc_state(workdir, capsys, monkeypatch, gc_bef
     monkeypatch.setattr(serialize, "load_matrix",
                         lambda path: seen.append(gc.isenabled()) or load(path))
     was = gc.isenabled()
+    frozen = gc.get_freeze_count()
     try:
         gc.enable() if gc_before else gc.disable()
         if outcome == 2:
@@ -451,6 +452,7 @@ def test_main_restores_the_callers_gc_state(workdir, capsys, monkeypatch, gc_bef
     finally:
         gc.enable() if was else gc.disable()
     assert after is gc_before
+    assert gc.get_freeze_count() == frozen      # only the process entry freezes
     assert seen == ([] if outcome == 2 else [False])    # paused while the command runs
     out = capsys.readouterr().out
     if isinstance(outcome, int):
@@ -618,6 +620,42 @@ def test_no_subcommand_imports_scipy(workdir):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(workdir)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_ENTRY_WITH_FREEZE_PROBE = r"""
+import atexit, gc, runpy, sys
+# atexit handlers run before finalization's collections
+atexit.register(lambda: sys.stderr.write(f"frozen={gc.get_freeze_count()}\n"))
+sys.argv = ["opideal", *sys.argv[1:]]
+runpy.run_module("opideal", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["svalues", "--matrix", "{d}/m.json"],
+    ["svalues", "--matrix", "{d}/missing.json"],
+], ids=["report", "io-error"])
+def test_module_entry_freezes_the_import_heap(workdir, capsys, args):
+    args = [a.format(d=workdir) for a in args]
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_WITH_FREEZE_PROBE, *args],
+                          capture_output=True)
+    frozen = proc.stderr.decode().splitlines()[-1]
+    assert frozen.startswith("frozen=") and int(frozen[len("frozen="):]) > 0
+    code, out = run_cli(args, capsys)
+    assert proc.returncode == code
+    assert proc.stdout == out.encode()
+
+
+def test_console_script_is_the_module_entry():
+    import importlib
+    tomllib = pytest.importorskip("tomllib")   # stdlib from Python 3.11
+    from pathlib import Path
+    import opideal.__main__ as entry
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["opideal"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is entry.run
 
 
 def test_byte_identical_reports(workdir):
