@@ -316,7 +316,6 @@ def cartan_decompose(g, typ: str,
     in the algebra: with g* g = V diag(w) V*, x = V diag(log(w) / 2) V* and
     k = g V diag(w^(-1/2)) V*."""
     g = as_matrix(g, square=True)
-    structure = _resolve(typ, g, structure)
     if not group_membership(g, typ, structure, tol=CARTAN_TOL):
         raise DomainError(f"matrix fails the {typ} group relations at tol {CARTAN_TOL:g}")
     w, v = np.linalg.eigh(dagger(g) @ g)
@@ -345,7 +344,7 @@ def regular_eigenflag(x0) -> Flag:
         raise InputError("x0 must be Hermitian")
     lam, w = np.linalg.eigh((x0 + dagger(x0)) / 2.0)
     lam, w = lam[::-1], w[:, ::-1]
-    scale = max(1.0, float(np.abs(lam).max()))
+    scale = float(np.abs(lam).max())
     for i in range(lam.size - 1):
         if lam[i] - lam[i + 1] <= EIGEN_GAP_TOL * scale:
             raise DomainError(
@@ -371,21 +370,19 @@ def _default_regular(n: int) -> np.ndarray:
 def iwasawa_decompose(g, x0=None) -> IwasawaFactors:
     """KAN decomposition of an invertible g relative to the eigenflag of x0.
 
-    Computed as the unitary/triangular factorization on the eigenflag
-    followed by the diagonal/unipotent split b = a n.  For the default
-    x0 = diag(n, ..., 1) this is QR with positive diagonal, split further
-    into its diagonal and unit upper triangular parts.
+    In the eigenflag's basis g = u b is the QR decomposition with positive
+    diagonal, and b = a n splits b into its diagonal and unit upper
+    triangular parts; k, a and n are those three rotated back.  For the
+    default x0 = diag(n, ..., 1) the eigenflag is the standard one.
     """
     g = as_matrix(g, square=True, name="g")
     x0 = _default_regular(g.shape[0]) if x0 is None else as_matrix(x0, square=True, name="x0")
     flag = regular_eigenflag(x0)
-    qb = qb_nest(g, flag)
-    bt = flag.to_adapted(qb.b)
-    diag = np.real(np.diag(bt)).copy()
-    at = np.diag(diag.astype(complex))
-    nt = np.linalg.solve(at, bt)
+    qb = qb_nest(flag.to_adapted(g), Flag.standard(flag.n))
+    diag = np.real(np.diag(qb.b))
+    nt = qb.b / diag[:, None]
     np.fill_diagonal(nt, 1.0)
-    return IwasawaFactors(k=qb.u, a=flag.from_adapted(at),
+    return IwasawaFactors(k=flag.from_adapted(qb.u), a=flag.from_adapted(np.diag(diag + 0j)),
                           n=flag.from_adapted(nt), x0=x0)
 
 

@@ -111,9 +111,7 @@ def _cmd_truncate(args):
     x = serialize.load_matrix(args.matrix)
     flag = _flag_for(args, x.shape[0])
     part = _partition_for(args, flag)
-    d = nest.truncate_diag(part, x)
-    u = nest.truncate_upper(part, x)
-    low = nest.truncate_lower(part, x)
+    low, d, u = nest.split(part, x)
     return {"cuts": list(part.cuts), "diag": d, "upper": u, "lower": low,
             "residuals": {"sum": _rel(frob(d + u + low - x), frob(x))}}
 
@@ -122,13 +120,13 @@ def _cmd_integral(args):
     x = serialize.load_matrix(args.matrix)
     flag = _flag_for(args, x.shape[0])
     low, d, u = nest.triangular_integral(flag, x)
-    part = nest.Partition.maximal(flag)
+    adj_low, adj_d, _ = nest.triangular_integral(flag, dagger(x))
     return {
         "lower": low, "diag": d, "upper": u,
         "residuals": {
             "sum": _rel(frob(low + d + u - x), frob(x)),
-            "adjoint_lower": frob(nest.truncate_lower(part, dagger(x)) - dagger(u)),
-            "adjoint_diag": frob(nest.truncate_diag(part, dagger(x)) - dagger(d)),
+            "adjoint_lower": frob(adj_low - dagger(u)),
+            "adjoint_diag": frob(adj_d - dagger(d)),
         },
     }
 
@@ -221,10 +219,12 @@ def _cmd_hc(args):
     }
     if args.z:
         z = serialize.load_matrix(args.z)
-        report["domain"] = harish.hc_domain_test(g, z, split)
-        if report["domain"]:
-            report["action"] = harish.hc_action(g, z, split)
-            report["cocycle"] = harish.hc_cocycle(g, z, split)
+        try:    # g.Z and J(g, Z) are factors of g [[1, Z], [0, 1]]
+            point = harish.hc_factorize(g @ harish.upper_unipotent(z, split), split)
+        except DomainError:
+            report["domain"] = False
+        else:
+            report.update(domain=True, action=point.zplus, cocycle=point.kappa)
     return report
 
 

@@ -58,11 +58,6 @@ class HCFactors:
     zminus: np.ndarray
 
 
-def _blocks(g: np.ndarray, split: BlockSplit):
-    p = split.n_plus
-    return g[:p, :p], g[:p, p:], g[p:, :p], g[p:, p:]
-
-
 def _check_square(g, split: BlockSplit, name: str = "matrix") -> np.ndarray:
     g = as_matrix(g, square=True, name=name)
     if g.shape[0] != split.total:
@@ -71,17 +66,16 @@ def _check_square(g, split: BlockSplit, name: str = "matrix") -> np.ndarray:
     return g
 
 
-def _check_coordinate(z, split: BlockSplit) -> np.ndarray:
+def _check_coordinate(z, rows: int, cols: int) -> np.ndarray:
     z = as_matrix(z, name="z")
-    if z.shape != (split.n_plus, split.n_minus):
-        raise InputError(
-            f"z must be {split.n_plus} x {split.n_minus}, got {z.shape}")
+    if z.shape != (rows, cols):
+        raise InputError(f"z must be {rows} x {cols}, got {z.shape}")
     return z
 
 
 def upper_unipotent(z, split: BlockSplit) -> np.ndarray:
     """exp of an upper-right block coordinate: [[1, Z], [0, 1]]."""
-    z = _check_coordinate(z, split)
+    z = _check_coordinate(z, split.n_plus, split.n_minus)
     g = np.eye(split.total, dtype=complex)
     g[:split.n_plus, split.n_plus:] = z
     return g
@@ -89,13 +83,28 @@ def upper_unipotent(z, split: BlockSplit) -> np.ndarray:
 
 def lower_unipotent(z, split: BlockSplit) -> np.ndarray:
     """exp of a lower-left block coordinate: [[1, 0], [Z, 1]]."""
-    z = as_matrix(z, name="z")
-    if z.shape != (split.n_minus, split.n_plus):
-        raise InputError(
-            f"z must be {split.n_minus} x {split.n_plus}, got {z.shape}")
+    z = _check_coordinate(z, split.n_minus, split.n_plus)
     g = np.eye(split.total, dtype=complex)
     g[split.n_plus:, :split.n_plus] = z
     return g
+
+
+def _factorize(g: np.ndarray, split: BlockSplit, outside: str) -> HCFactors:
+    """The factorization of a validated g; ``outside`` names the set that a
+    singular lower-right block leaves."""
+    p = split.n_plus
+    a, b, c, d = g[:p, :p], g[:p, p:], g[p:, :p], g[p:, p:]
+    cd = cond2(d)
+    if is_singular(cd):
+        raise DomainError(
+            f"{outside}: lower-right block is numerically singular "
+            f"(condition number {cd:.3e})")
+    zplus = np.linalg.solve(d.T, b.T).T        # B D^{-1}
+    zminus = np.linalg.solve(d, c)             # D^{-1} C
+    kappa = np.zeros_like(g)
+    kappa[:p, :p] = a - zplus @ c
+    kappa[p:, p:] = d
+    return HCFactors(zplus=zplus, kappa=kappa, zminus=zminus)
 
 
 def hc_factorize(g, split: BlockSplit) -> HCFactors:
@@ -104,45 +113,30 @@ def hc_factorize(g, split: BlockSplit) -> HCFactors:
     Requires the lower-right block to be invertible; otherwise g lies
     outside the open factorizable set and a DomainError is raised.
     """
-    g = _check_square(g, split, "g")
-    a, b, c, d = _blocks(g, split)
-    cd = cond2(d)
-    if is_singular(cd):
-        raise DomainError(
-            "not in the factorizable set: lower-right block is numerically "
-            f"singular (condition number {cd:.3e})")
-    zplus = np.linalg.solve(d.T, b.T).T        # B D^{-1}
-    zminus = np.linalg.solve(d, c)             # D^{-1} C
-    kappa = np.zeros_like(g)
-    kappa[:split.n_plus, :split.n_plus] = a - zplus @ c
-    kappa[split.n_plus:, split.n_plus:] = d
-    return HCFactors(zplus=zplus, kappa=kappa, zminus=zminus)
+    return _factorize(_check_square(g, split, "g"), split, "not in the factorizable set")
+
+
+def _point_factors(g, z, split: BlockSplit) -> HCFactors:
+    """The factorization of g [[1, Z], [0, 1]], whose lower-right block is C Z + D."""
+    return _factorize(_check_square(g, split, "g") @ upper_unipotent(z, split), split,
+                      "outside the domain of the action")
 
 
 def hc_action(g, z, split: BlockSplit) -> np.ndarray:
-    """Fractional-linear action g.Z = (A Z + B)(C Z + D)^{-1}."""
-    g = _check_square(g, split, "g")
-    z = _check_coordinate(z, split)
-    a, b, c, d = _blocks(g, split)
-    m = c @ z + d
-    cm = cond2(m)
-    if is_singular(cm):
-        raise DomainError(
-            "outside the domain of the action: C Z + D is numerically "
-            f"singular (condition number {cm:.3e})")
-    return np.linalg.solve(m.T, (a @ z + b).T).T
+    """Action g.Z: the upper-right coordinate of g [[1, Z], [0, 1]], which is
+    (A Z + B)(C Z + D)^{-1}."""
+    return _point_factors(g, z, split).zplus
 
 
 def hc_cocycle(g, z, split: BlockSplit) -> np.ndarray:
     """Multiplier J(g, Z): the block-diagonal factor of g [[1, Z], [0, 1]]."""
-    g = _check_square(g, split, "g")
-    z = _check_coordinate(z, split)
-    return hc_factorize(g @ upper_unipotent(z, split), split).kappa
+    return _point_factors(g, z, split).kappa
 
 
 def hc_domain_test(g, z, split: BlockSplit) -> bool:
     """Whether g [[1, Z], [0, 1]] lies in the open factorizable set."""
-    g = _check_square(g, split, "g")
-    z = _check_coordinate(z, split)
-    _, _, c, d = _blocks(g, split)
-    return not is_singular(cond2(c @ z + d))
+    try:
+        _point_factors(g, z, split)
+    except DomainError:
+        return False
+    return True

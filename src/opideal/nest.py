@@ -25,6 +25,7 @@ __all__ = [
     "truncate_diag",
     "truncate_upper",
     "truncate_lower",
+    "split",
     "triangular_integral",
     "refinement_identities_check",
     "is_in_nest_algebra",
@@ -156,12 +157,17 @@ def truncate_lower(partition: Partition, x) -> np.ndarray:
     return _truncate(partition, x, np.greater)
 
 
+def split(partition: Partition, x):
+    """The (lower, diagonal, upper) truncations, from one rotation of x."""
+    flag = partition.flag
+    y = flag.to_adapted(x)
+    return tuple(flag.from_adapted(_block_mask(partition.index, y, cmp))
+                 for cmp in (np.greater, np.equal, np.less))
+
+
 def triangular_integral(flag: Flag, x):
     """The (lower, diagonal, upper) parts at the finest partition of the flag."""
-    y = flag.to_adapted(x)
-    idx = Partition.maximal(flag).index
-    return tuple(flag.from_adapted(_block_mask(idx, y, cmp))
-                 for cmp in (np.greater, np.equal, np.less))
+    return split(Partition.maximal(flag), x)
 
 
 def refinement_identities_check(p_part: Partition, q_part: Partition, x) -> dict:

@@ -26,8 +26,19 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+_NORM_TINY = math.sqrt(np.finfo(float).tiny)   # a norm below it may hide underflowed squares
+
+
 def frob(a) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm, exact under scaling by powers of 2: a norm whose squares
+    overflow or may underflow is taken of a / 2^e, 2^e above the largest |entry|."""
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(a))
+    if _NORM_TINY <= r < math.inf:
+        return r
+    a = np.asarray(a)
+    e = int(np.frexp(np.abs([a.real, a.imag]).max(initial=0.0))[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)), e))
 
 
 def opnorm(a) -> float:
@@ -57,9 +68,9 @@ def expm(a: np.ndarray) -> np.ndarray:
 COND_LIMIT = 1e12        # 2-norm condition number above which a matrix is singular
 SINGULAR_CLIP = 1e-13    # singular values below this times the largest are exact zeros
 UNITARY_TOL = 1e-12      # Frobenius residual of u* u = 1, per max(1, sqrt(n))
-HERMITIAN_TOL = 1e-10    # ||a - a*||_F relative to max(1, ||a||_F)
+HERMITIAN_TOL = 1e-10    # ||a - a*||_F relative to ||a||_F
 PD_THRESHOLD = 1e-10     # smallest eigenvalue relative to the largest, for definiteness
-EIGEN_GAP_TOL = 1e-8     # eigenvalue gap of a regular element, relative to max(1, |lambda|)
+EIGEN_GAP_TOL = 1e-8     # eigenvalue gap of a regular element, relative to max |lambda|
 NILPOTENCY_TOL = 1e-12   # strict-upper residual and vanishing power, relative to ||r||
 NEST_TOL = 1e-12         # default per-cut residual of nest-algebra membership
 MEMBERSHIP_TOL = 1e-10   # default relation residual of classical group/algebra membership
@@ -87,8 +98,8 @@ def is_unitary(u: np.ndarray) -> bool:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    """||a - a*||_F <= HERMITIAN_TOL max(1, ||a||_F)."""
-    return frob(a - dagger(a)) <= HERMITIAN_TOL * max(1.0, frob(a))
+    """||a - a*||_F <= HERMITIAN_TOL ||a||_F."""
+    return frob(a - dagger(a)) <= HERMITIAN_TOL * frob(a)
 
 
 def is_singular(c: float) -> bool:

@@ -11,8 +11,10 @@ shapes next to the flat vectors of the dual estimate and the Boyd scan,
 the Boyd scan's flat probes built and gauged one array at a time
 where the package gauges them from their lengths, numpy's nested-list
 conversion where the matrix loader streams [re, im] pairs into one float
-array, and reports whose arrays are all encoded before ``json.dumps``
-where the command line encodes each one as the report is written.
+array, reports whose arrays are all encoded before ``json.dumps``
+where the command line encodes each one as the report is written, and the
+fractional-linear formula for the Harish-Chandra action where the package
+reads it off a block factorization.
 """
 
 import itertools
@@ -193,6 +195,12 @@ def svd_polar(g):
     pos = dagger(vh) @ np.diag(s) @ vh
     w, v = np.linalg.eigh(pos)
     return k, v @ np.diag(np.log(w)) @ dagger(v)
+
+
+def fractional_linear_action(g, z, p):
+    """g.Z = (A Z + B)(C Z + D)^{-1}, with A the leading p x p block of g."""
+    a, b, c, d = g[:p, :p], g[:p, p:], g[p:, :p], g[p:, p:]
+    return (a @ z + b) @ np.linalg.inv(c @ z + d)
 
 
 def s3_irreps():

@@ -357,6 +357,14 @@ def test_iwasawa_rejects_degenerate_x0():
         iwasawa_decompose(np.eye(3) * 2.0, np.diag([2.0, 1.0]))
 
 
+def test_regularity_is_relative_to_the_spectrum():
+    # the gap test scales with x0: 1e-9 diag(1, 2, 3) is as regular as diag(1, 2, 3)
+    assert regular_eigenflag(1e-9 * np.diag([1.0, 2.0, 3.0])).dims == (1, 2, 3)
+    for x0 in (np.zeros((3, 3)), 1e-9 * np.diag([1.0, 1.0, 3.0])):
+        with pytest.raises(DomainError, match="collide"):
+            regular_eigenflag(x0)
+
+
 def _split_oracle(x):
     # unique entrywise solution of the linear constraints in flag coordinates
     n = x.shape[0]

@@ -397,8 +397,7 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
 @pytest.mark.parametrize("argv, entries", [
     (["cartan", "--type", "B"], [1e300, 1e300]),     # ||g||^2 overflows a float
     (["cartan", "--type", "A"], [1e-301]),           # g* g underflows to a zero divisor
-    (["qr-nest"], [1e300, 1e300]),                   # the residual norms overflow
-], ids=["cartan-overflow", "cartan-underflow", "qr-nest-overflow"])
+], ids=["cartan-overflow", "cartan-underflow"])
 def test_computations_leaving_the_double_range_are_domain_errors(tmp_path, capsys, argv,
                                                                  entries):
     save_matrix(tmp_path / "d.json", np.diag(entries))
@@ -406,6 +405,67 @@ def test_computations_leaving_the_double_range_are_domain_errors(tmp_path, capsy
     assert code == 1
     assert _strict_json(out)["error"] == {
         "code": "domain-error", "message": "a computed value is not a finite double"}
+
+
+def test_residual_norms_of_entries_past_the_square_root_of_the_range(tmp_path, capsys):
+    # the squares of 1e300 overflow; the exact factorization u = 1, b = g is reported
+    save_matrix(tmp_path / "d.json", np.diag([1e300, 1e300]))
+    code, out = run_cli(["qr-nest", "--matrix", str(tmp_path / "d.json")], capsys)
+    assert code == 0
+    report = _strict_json(out)
+    assert report["residuals"] == {"reconstruction": 0.0, "unitarity": 0.0,
+                                   "nest_membership": True, "condition_number": 1.0}
+    assert np.array_equal(matrix_from_obj(report["u"]), np.eye(2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_non_hermitian_input_is_refused_at_every_scale(tmp_path, capsys, scale):
+    save_matrix(tmp_path / "h.json", scale * np.array([[2.0, 0.0], [1.0, 2.0]]))
+    code, out = run_cli(["ldl-nest", "--matrix", str(tmp_path / "h.json")], capsys)
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["code"] == "input-error" and "a is not Hermitian" in err["message"]
+
+
+# A fixed well-conditioned positive definite 4 x 4 matrix, a regular x0 with
+# a rotated eigenflag, and an hc point
+_SCALE_B = crandn(np.random.default_rng(41), 4, 4)
+_SCALE_A = _SCALE_B @ _SCALE_B.conj().T / 4.0 + np.eye(4)
+_SCALE_X0 = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 1.0j, 0.0],
+                      [0.0, -1.0j, 1.0, 0.5], [0.0, 0.0, 0.5, -1.0]])
+_SCALE_Z = np.array([[0.3, -0.2j], [0.1, 0.4]])
+
+
+def _scaled_report(tmp_path, capsys, argv, k):
+    save_matrix(tmp_path / "a.json", np.ldexp(1.0, k) * _SCALE_A)
+    save_matrix(tmp_path / "x0.json", _SCALE_X0)
+    save_matrix(tmp_path / "z.json", _SCALE_Z)
+    argv = [a.format(d=tmp_path) for a in argv] + ["--matrix", str(tmp_path / "a.json")]
+    code, out = run_cli(argv, capsys)
+    return code, _strict_json(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ldl-nest"],
+    ["qr-nest"],
+    ["iwasawa", "--x0", "{d}/x0.json"],
+    ["hc", "--split", "2,2", "--z", "{d}/z.json"],
+], ids=["ldl-nest", "qr-nest", "iwasawa", "hc"])
+@pytest.mark.parametrize("k", [-600, 600])
+def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, k):
+    """2^k A factors as A does, and every residual is the same relative number."""
+    code0, base = _scaled_report(tmp_path, capsys, argv, 0)
+    code, report = _scaled_report(tmp_path, capsys, argv, k)
+    assert code == code0 == 0
+    res0, res = base["residuals"], report["residuals"]
+    assert res0["reconstruction"] > 0.0     # a rounding error to carry across scales
+    assert res["reconstruction"] == res0["reconstruction"]
+    assert res.get("nilpotency_index") == res0.get("nilpotency_index")
+    if "a_commutes_x0" in res0:
+        assert res["a_commutes_x0"] == np.ldexp(res0["a_commutes_x0"], k)
+    if "condition_number" in res0:
+        assert res["condition_number"] == pytest.approx(
+            res0["condition_number"], rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def test_unwritable_output_is_an_io_error_on_stdout(workdir, capsys):
@@ -421,7 +481,7 @@ def test_unwritable_output_is_an_io_error_on_stdout(workdir, capsys):
 @pytest.mark.parametrize("argv, outcome", [
     (["svalues", "--matrix", "{m}"], 0),
     (["svalues", "--matrix", "{bad}"], "input-error"),
-    (["qr-nest", "--matrix", "{huge}"], "domain-error"),
+    (["cartan", "--type", "B", "--matrix", "{huge}"], "domain-error"),
     (["svalues", "--matrix", "{missing}"], "io-error"),
     (["svalues", "--matrix", "{m}", "--output", "{missing}/r.json"], "io-error"),
     (["svalues", "--matrix", "{m}", "--bogus"], 2),

@@ -7,6 +7,7 @@ from opideal import (BlockSplit, DomainError, InputError, default_structure,
                      hc_action, hc_cocycle, hc_domain_test, hc_factorize,
                      lower_unipotent, random_group_element, upper_unipotent)
 from opideal.utils import crandn, frob
+from oracles import fractional_linear_action
 
 
 SPLIT = BlockSplit(2, 3)
@@ -78,8 +79,8 @@ def test_action_matches_factorization_route():
     for seed in range(8):
         g = sample_u_pq(seed)
         z = 0.3 * crandn(rng, 2, 3)
-        direct = hc_action(g, z, SPLIT)
-        via = hc_factorize(g @ upper_unipotent(z, SPLIT), SPLIT).zplus
+        direct = fractional_linear_action(g, z, SPLIT.n_plus)
+        via = hc_action(g, z, SPLIT)
         assert frob(direct - via) < 1e-12 * max(1.0, frob(direct))
 
 
@@ -101,6 +102,29 @@ def test_action_outside_domain():
     g[0, 0] = 0.0
     with pytest.raises(DomainError, match="domain"):
         hc_action(g, np.zeros((2, 3)), SPLIT)
+
+
+def test_action_cocycle_and_domain_test_share_the_domain():
+    # lower-right blocks C Z + D whose condition numbers straddle COND_LIMIT
+    rng = np.random.default_rng(10)
+    c = 1e-3 * crandn(rng, 3, 2)
+    z = 1e-10 * crandn(rng, 2, 3)
+    inside = []
+    for eps in np.geomspace(1e-11, 1e-13, 9):
+        g = np.eye(5, dtype=complex)
+        g[2:, :2] = c
+        g[4, 4] = eps
+        outcomes = []
+        for f in (hc_action, hc_cocycle):
+            try:
+                f(g, z, SPLIT)
+                outcomes.append(True)
+            except DomainError as exc:
+                assert "domain" in str(exc)
+                outcomes.append(False)
+        assert outcomes == [hc_domain_test(g, z, SPLIT)] * 2
+        inside.append(outcomes[0])
+    assert inside[0] and not inside[-1]
 
 
 def test_cocycle_identity_element_and_block_diagonal():

@@ -236,6 +236,21 @@ def test_triangular_integral_equals_finest_truncation(monkeypatch):
     assert upp.tobytes() == truncate_upper(part, x).tobytes()
 
 
+def test_split_is_the_three_truncations_from_one_rotation(op_counts):
+    rng = np.random.default_rng(11)
+    flag = random_flag(rng, 6, dims=[1, 3, 4, 6])
+    part = Partition(flag, [3, 6])
+    x = crandn(rng, 6, 6)
+    op_counts.clear()
+    low, dia, upp = nest.split(part, x)
+    assert dict(op_counts) == {"in": 1, "out": 3}
+    assert low.tobytes() == truncate_lower(part, x).tobytes()
+    assert dia.tobytes() == truncate_diag(part, x).tobytes()
+    assert upp.tobytes() == truncate_upper(part, x).tobytes()
+    with pytest.raises(InputError, match="does not match flag n=6"):
+        nest.split(part, np.eye(4))
+
+
 def test_truncation_algebra_properties():
     rng = np.random.default_rng(7)
     for trial in range(50):

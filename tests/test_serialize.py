@@ -129,7 +129,7 @@ def test_non_finite_array_reaching_the_encoder_is_an_input_error(
         edge_inputs, capsys, monkeypatch, bad):
     """InputError is a ValueError; the encoder's out-of-range ValueError is a
     domain-error, an array the loaders would refuse stays an input-error."""
-    monkeypatch.setattr(nest, "truncate_diag", lambda part, x: np.full(x.shape, bad))
+    monkeypatch.setattr(nest, "split", lambda part, x: (x, np.full(x.shape, bad), x))
     assert main(["truncate", "--matrix", str(edge_inputs / "m.json")]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"code": "input-error", "message": "matrix must have finite entries"}

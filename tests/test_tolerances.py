@@ -10,7 +10,8 @@ import pytest
 
 from opideal import (Flag, InputError, StructureData, UnitaryRep, cyclic_group,
                      validate_structure)
-from opideal.utils import UNITARY_TOL, is_singular, is_unitary
+from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, frob, is_hermitian, is_singular,
+                           is_unitary)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
 
@@ -64,6 +65,33 @@ def test_predicates_reject_nan_residuals():
         Flag(u, [1, 2])
     assert is_singular(float("nan")) and is_singular(float("inf"))
     assert not is_singular(1e12)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+def test_hermitian_test_is_relative(k):
+    # an asymmetry of half (twice) the tolerance, at every scale
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        a = np.array([[1.0, factor * HERMITIAN_TOL], [0.0, 1.0]])
+        assert is_hermitian(np.ldexp(a, k)) is accepted
+    assert not is_hermitian(np.ldexp(np.array([[1.0, 0.0], [1.0, 1.0]]), k))
+    assert is_hermitian(np.zeros((2, 2)))
+
+
+def test_frobenius_norm_is_exact_under_power_of_two_scaling():
+    a = np.array([[3.0, 1.0 + 1.0j], [0.5, -2.0j]])
+
+    def scaled(k):
+        return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+
+    for k in (-1070, -600, -540, 0, 500, 600, 1020):
+        assert frob(scaled(k)) == np.ldexp(frob(a), k)
+    assert frob(np.diag([1e300, 1e300])) == np.sqrt(2.0) * 1e300
+    assert frob(np.array([[5e-324]])) == 5e-324
+    assert frob(np.zeros((3, 3))) == 0.0 and frob(np.zeros((0, 2))) == 0.0
+    with np.errstate(over="raise"):     # as under the command line
+        assert frob(scaled(1000)) == np.ldexp(frob(a), 1000)
+        with pytest.raises(FloatingPointError):     # the norm itself is past the range
+            frob(np.full((2, 2), 1e308))
 
 
 def _module_constants(path):
