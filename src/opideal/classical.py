@@ -24,11 +24,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import factor, nest
 from .errors import DomainError, InputError
-from .factor import qb_nest
-from .nest import Flag, triangular_integral
-from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL,
-                    as_matrix, cond2, crandn, dagger, expm, frob,
+from .utils import (CARTAN_TOL, CLASSICAL_TYPES, EIGEN_GAP_TOL, MEMBERSHIP_TOL,
+                    NULLITY_TOL, as_matrix, cond2, crandn, dagger, expm, frob,
                     is_hermitian, is_singular, is_unitary, opnorm,
                     unitary_bound)
 
@@ -94,20 +93,18 @@ _RELATIONS = {
 }
 
 # The defining relations of each type, in the order algebra_project averages over them.
-_TYPE_RELATIONS = {
-    "A": (),
-    "B": ("orth",),
-    "C": ("symp",),
-    "AI": ("real",),
-    "AII": ("quat",),
-    "AIII": ("iu",),
-    "BI": ("orth", "iu"),
-    "BII": ("orth", "quat"),
-    "CI": ("symp", "real"),
-    "CII": ("symp", "iu"),
-}
-
-CLASSICAL_TYPES = tuple(_TYPE_RELATIONS)
+_TYPE_RELATIONS = dict(zip(CLASSICAL_TYPES, [
+    (),                 # A
+    ("orth",),          # B
+    ("symp",),          # C
+    ("real",),          # AI
+    ("quat",),          # AII
+    ("iu",),            # AIII
+    ("orth", "iu"),     # BI
+    ("orth", "quat"),   # BII
+    ("symp", "real"),   # CI
+    ("symp", "iu"),     # CII
+], strict=True))
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,7 @@ def cartan_involution(g) -> np.ndarray:
     return dagger(np.linalg.inv(g))
 
 
-def regular_eigenflag(x0) -> Flag:
+def regular_eigenflag(x0) -> nest.Flag:
     """Maximal flag adapted to a regular Hermitian x0, eigenvalues descending.
 
     Rejects x0 whose spectrum has a gap below EIGEN_GAP_TOL (relative to
@@ -350,7 +347,7 @@ def regular_eigenflag(x0) -> Flag:
             raise DomainError(
                 f"x0 is not regular: eigenvalues {lam[i]:.6g} and "
                 f"{lam[i + 1]:.6g} collide (gap below {EIGEN_GAP_TOL:g})")
-    return Flag(w, range(1, lam.size + 1))
+    return nest.Flag(w, range(1, lam.size + 1))
 
 
 @dataclass(frozen=True)
@@ -378,7 +375,7 @@ def iwasawa_decompose(g, x0=None) -> IwasawaFactors:
     g = as_matrix(g, square=True, name="g")
     x0 = _default_regular(g.shape[0]) if x0 is None else as_matrix(x0, square=True, name="x0")
     flag = regular_eigenflag(x0)
-    qb = qb_nest(flag.to_adapted(g), Flag.standard(flag.n))
+    qb = factor.qb_nest(flag.to_adapted(g), nest.Flag.standard(flag.n))
     diag = np.real(np.diag(qb.b))
     nt = qb.b / diag[:, None]
     np.fill_diagonal(nt, 1.0)
@@ -392,7 +389,7 @@ def iwasawa_algebra_split(x, x0=None):
     x = as_matrix(x, square=True)
     x0 = _default_regular(x.shape[0]) if x0 is None else as_matrix(x0, square=True, name="x0")
     flag = regular_eigenflag(x0)
-    low, dia, upp = triangular_integral(flag, x)
+    low, dia, upp = nest.triangular_integral(flag, x)
     dherm = (dia + dagger(dia)) / 2.0
     dskew = dia - dherm
     xk = low - dagger(low) + dskew

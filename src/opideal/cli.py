@@ -22,7 +22,7 @@ import numpy as np
 
 from . import amenable, classical, factor, harish, nest, serialize, symfunc
 from .errors import DomainError, InputError
-from .utils import CARTAN_TOL, REPORT_TOL, cond2, dagger, frob
+from .utils import CARTAN_TOL, CLASSICAL_TYPES, REPORT_TOL, dagger, frob
 
 DEFAULT_SEED = 1729
 
@@ -160,7 +160,7 @@ def _cmd_qr_nest(args):
             "reconstruction": _rel(frob(factors.u @ factors.b - g), frob(g)),
             "unitarity": frob(dagger(factors.u) @ factors.u - eye),
             "nest_membership": nest.is_in_nest_algebra(factors.b, flag, tol=REPORT_TOL),
-            "condition_number": cond2(g),
+            "condition_number": factors.condition_number,
         },
     }
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cartan", _cmd_cartan,
             "Polar split g = k exp(x) inside a classical group type: k "
             "unitary in the group, x Hermitian in its Lie algebra.")
-    p.add_argument("--type", required=True, choices=classical.CLASSICAL_TYPES)
+    p.add_argument("--type", required=True, choices=CLASSICAL_TYPES)
     p.add_argument("--matrix", required=True)
     p.add_argument("--split", default=None, help="p,q for signature types")
 

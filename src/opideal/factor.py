@@ -34,10 +34,12 @@ class LdlFactors:
 
 @dataclass(frozen=True)
 class QbFactors:
-    """Unitary u and block-upper b with positive definite block diagonal."""
+    """Unitary u and block-upper b with positive definite block diagonal;
+    the 2-norm condition number of g = u b, from the singularity test."""
 
     u: np.ndarray
     b: np.ndarray
+    condition_number: float
 
 
 def _check_positive(a: np.ndarray, name: str) -> None:
@@ -113,7 +115,7 @@ def qb_nest(g, flag: Flag) -> QbFactors:
     w = _block_polar_phases(r, bounds)
     b = w @ r
     u = q @ dagger(w)
-    return QbFactors(u=flag.from_adapted(u), b=flag.from_adapted(b))
+    return QbFactors(u=flag.from_adapted(u), b=flag.from_adapted(b), condition_number=c)
 
 
 def nilpotency_check(r, partition: Partition) -> int:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import symfunc
 from .errors import InputError
-from .symfunc import SymNormFunc, phi_norm
 from .utils import (MAX_EXPERIMENT_DIM, MAX_EXPERIMENT_TRIALS, NEST_TOL, as_matrix,
                     crandn, dagger, frob, is_unitary, opnorm)
 
@@ -219,17 +219,17 @@ def _experiment_sample(rng: np.random.Generator, n: int, trial: int) -> np.ndarr
     return np.outer(u, v).astype(complex)
 
 
-def _trial_ratio(phi: SymNormFunc, part: Partition, n: int, seed: int,
+def _trial_ratio(phi: symfunc.SymNormFunc, part: Partition, n: int, seed: int,
                  trial: int) -> float:
     rng = np.random.default_rng([seed, n, trial])
     x = _experiment_sample(rng, n, trial)
-    denom = phi_norm(phi, x)
+    denom = symfunc.phi_norm(phi, x)
     if denom <= 0.0:
         return 0.0
-    return phi_norm(phi, truncate_upper(part, x)) / denom
+    return symfunc.phi_norm(phi, truncate_upper(part, x)) / denom
 
 
-def truncation_norm_experiment(phi: SymNormFunc, n_list, trials: int,
+def truncation_norm_experiment(phi: symfunc.SymNormFunc, n_list, trials: int,
                                seed: int):
     """Measured max of ||upper(X)|| / ||X|| over seeded samples, per size.
 

@@ -13,13 +13,8 @@ from itertools import chain
 
 import numpy as np
 
-from .amenable import (FiniteGroup, Functional, check_group_order, cyclic_group,
-                       dihedral_group, quaternion_group, symmetric_group,
-                       trivial_group)
-from .classical import StructureData, default_structure
+from . import amenable, classical, nest, symfunc
 from .errors import InputError
-from .nest import Flag
-from .symfunc import NonincreasingSequence
 from .utils import MAX_GROUP_ORDER, as_matrix
 
 __all__ = [
@@ -108,26 +103,26 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_obj(_load_json(path))
 
 
-def flag_from_obj(obj) -> Flag:
+def flag_from_obj(obj) -> nest.Flag:
     if not isinstance(obj, dict):
         raise InputError("flag object must be a JSON object")
     basis = matrix_from_obj(_require(obj, "basis", dict))
     dims = _require(obj, "dims", list)
     if not all(_is_int(d) for d in dims):
         raise InputError("field 'dims' must be a list of integers")
-    return Flag(basis, dims)
+    return nest.Flag(basis, dims)
 
 
-def save_flag(path, flag: Flag) -> None:
+def save_flag(path, flag: nest.Flag) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"basis": matrix_to_obj(flag.basis), "dims": list(flag.dims)}))
 
 
-def load_flag(path) -> Flag:
+def load_flag(path) -> nest.Flag:
     return flag_from_obj(_load_json(path))
 
 
-def sequence_from_csv(text: str) -> NonincreasingSequence:
+def sequence_from_csv(text: str) -> symfunc.NonincreasingSequence:
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -137,10 +132,10 @@ def sequence_from_csv(text: str) -> NonincreasingSequence:
             values.append(float(line))
         except ValueError:
             raise InputError(f"sequence line {lineno} is not a number: {line!r}") from None
-    return NonincreasingSequence(values)
+    return symfunc.NonincreasingSequence(values)
 
 
-def load_sequence(path) -> NonincreasingSequence:
+def load_sequence(path) -> symfunc.NonincreasingSequence:
     with open(path) as fh:
         try:
             text = fh.read()
@@ -149,33 +144,33 @@ def load_sequence(path) -> NonincreasingSequence:
     return sequence_from_csv(text)
 
 
-def group_from_obj(obj) -> FiniteGroup:
+def group_from_obj(obj) -> amenable.FiniteGroup:
     if not isinstance(obj, dict):
         raise InputError("group object must be a JSON object")
     order = _require(obj, "order", int)
-    check_group_order(order)
+    amenable.check_group_order(order)
     table = _require(obj, "table", list)
     if len(table) != order:
         raise InputError(f"field 'table' has {len(table)} rows, expected {order}")
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise InputError("field 'labels' must be a list")
-    return FiniteGroup(table, labels=labels)
+    return amenable.FiniteGroup(table, labels=labels)
 
 
-def load_group(path) -> FiniteGroup:
+def load_group(path) -> amenable.FiniteGroup:
     return group_from_obj(_load_json(path))
 
 
-_BUILTIN_GROUPS = {
-    "trivial": trivial_group,
-    "s3": lambda: symmetric_group(3),
-    "s4": lambda: symmetric_group(4),
-    "q8": quaternion_group,
+_BUILTIN_GROUPS = {    # lambdas, so amenable runs only when a group is asked for
+    "trivial": lambda: amenable.trivial_group(),
+    "s3": lambda: amenable.symmetric_group(3),
+    "s4": lambda: amenable.symmetric_group(4),
+    "q8": lambda: amenable.quaternion_group(),
 }
 
 
-def resolve_group(spec: str) -> FiniteGroup:
+def resolve_group(spec: str) -> amenable.FiniteGroup:
     """A builtin name (z<n>, d<n>, s3, s4, q8, trivial) or a JSON path."""
     name = spec.strip().lower()
     if name in _BUILTIN_GROUPS:
@@ -184,25 +179,26 @@ def resolve_group(spec: str) -> FiniteGroup:
         digits = name[1:].lstrip("0") or "0"
         if len(digits) > len(str(MAX_GROUP_ORDER)):  # int() refuses > 4300 digits
             raise InputError(f"group order exceeds the limit {MAX_GROUP_ORDER}")
-        return (cyclic_group if name[0] == "z" else dihedral_group)(int(digits))
+        make = amenable.cyclic_group if name[0] == "z" else amenable.dihedral_group
+        return make(int(digits))
     try:
         return load_group(spec)
     except OSError:
         raise InputError(f"unknown group {spec!r} (not a builtin, not a file)") from None
 
 
-def functional_from_obj(obj, group: FiniteGroup) -> Functional:
+def functional_from_obj(obj, group: amenable.FiniteGroup) -> amenable.Functional:
     if not isinstance(obj, dict):
         raise InputError("functional object must be a JSON object")
     data = _require(obj, "weights", list)
-    return Functional(group, _complex_pairs(data, "weights"))
+    return amenable.Functional(group, _complex_pairs(data, "weights"))
 
 
-def load_functional(path, group: FiniteGroup) -> Functional:
+def load_functional(path, group: amenable.FiniteGroup) -> amenable.Functional:
     return functional_from_obj(_load_json(path), group)
 
 
-def structure_from_obj(obj) -> tuple[str, StructureData]:
+def structure_from_obj(obj) -> tuple[str, classical.StructureData]:
     if not isinstance(obj, dict):
         raise InputError("structure object must be a JSON object")
     typ = _require(obj, "type", str)
@@ -212,8 +208,8 @@ def structure_from_obj(obj) -> tuple[str, StructureData]:
         if not isinstance(split, list) or len(split) != 2 or not all(map(_is_int, split)):
             raise InputError("field 'split' must be a pair [p, q]")
         split = tuple(split)
-    return typ, default_structure(typ, n, split=split)
+    return typ, classical.default_structure(typ, n, split=split)
 
 
-def load_structure(path) -> tuple[str, StructureData]:
+def load_structure(path) -> tuple[str, classical.StructureData]:
     return structure_from_obj(_load_json(path))

@@ -706,6 +706,34 @@ def test_module_entry_freezes_the_import_heap(workdir, capsys, args):
     assert proc.stdout == out.encode()
 
 
+_ENTRY_WITH_GC_PROBE = r"""
+import gc, sys
+gc.enable() if sys.argv.pop(1) == "on" else gc.disable()
+enabled = gc.isenabled()
+gc.collect()    # empty generations: only what follows can start a pass
+passes = []     # the freeze count at the start of each pass
+gc.callbacks.append(lambda phase, info: phase == "start"
+                    and passes.append(gc.get_freeze_count()))
+import opideal.__main__ as entry
+assert gc.isenabled() is enabled, "importing the entry changed the GC state"
+sys.argv = ["opideal", *sys.argv[1:]]
+status = entry.run()
+assert gc.isenabled() is enabled, "the entry changed the GC state"
+sys.stderr.write(f"unfrozen passes={passes.count(0)}\n")
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("gc_before", ["on", "off"])
+def test_module_entry_imports_with_the_collector_paused(gc_before):
+    # no GC pass runs before the freeze: importing the package and the entry
+    # imports no numpy, and run() pauses the collector around the rest
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_WITH_GC_PROBE, gc_before,
+                           "mean", "--group", "q8"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "unfrozen passes=0"
+
+
 def test_console_script_is_the_module_entry():
     import importlib
     tomllib = pytest.importorskip("tomllib")   # stdlib from Python 3.11

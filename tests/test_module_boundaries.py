@@ -1,10 +1,18 @@
 """Each module of the package keeps its private names to itself: no module
-imports or reads another module's ``_name``."""
+imports or reads another module's ``_name``.  A process runs only the
+modules it reads: ``import opideal`` runs none, and each subcommand runs
+the modules of its own layer."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "opideal"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -86,3 +94,125 @@ def test_cli_leaves_the_array_format_to_serialize():
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     assert not names & {"matrix_to_obj", "complex_to_pairs"}
+
+
+# Runs the code after it, then writes to stderr, as one JSON line, the
+# package modules whose code ran (by the audit event of each module body's
+# exec), whether numpy was imported, and the package modules in sys.modules.
+_PROBE = r"""
+import json, os, sys
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and args[0].co_name == "<module>"
+                 and ran.append(args[0].co_filename))
+try:
+    {code}
+finally:
+    package = os.path.dirname(sys.modules["opideal"].__file__)
+    sys.stderr.write(json.dumps({{
+        "ran": sorted(os.path.basename(f)[:-3] for f in ran
+                      if os.path.dirname(f) == package and not f.endswith("__.py")),
+        "numpy": "numpy" in sys.modules,
+        "registered": sorted(m for m in sys.modules if m.startswith("opideal.")),
+    }}) + "\n")
+"""
+
+
+def _probe(code, *args):
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(code=code), *args],
+                          capture_output=True, text=True, timeout=120)
+    return proc, json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_importing_the_package_runs_no_module_and_no_numpy():
+    proc, seen = _probe("import opideal")
+    assert proc.returncode == 0, proc.stderr
+    assert seen["ran"] == [] and not seen["numpy"]
+
+
+def test_every_module_is_registered_by_the_package_import():
+    proc, seen = _probe("import opideal")
+    assert proc.returncode == 0, proc.stderr
+    assert seen["registered"] == sorted(
+        f"opideal.{m}" for m in MODULES if m not in ("__init__", "__main__"))
+
+
+def test_star_import_binds_every_exported_name():
+    import opideal
+    namespace = {}
+    exec("from opideal import *", namespace)    # reads each name of __all__
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(opideal.__all__)
+    assert all(getattr(opideal, name) is value for name, value in namespace.items())
+
+
+# The modules each subcommand runs besides cli, errors and utils.
+_LAYERS = {
+    "svalues": {"serialize", "symfunc"},
+    "norm": {"serialize", "symfunc"},
+    "dualnorm": {"serialize", "symfunc"},
+    "boyd": {"serialize", "symfunc"},
+    "truncate": {"serialize", "nest"},
+    "integral": {"serialize", "nest"},
+    "experiment": {"nest", "symfunc"},
+    "ldl-nest": {"serialize", "nest", "factor"},
+    "qr-nest": {"serialize", "nest", "factor"},
+    "iwasawa": {"serialize", "nest", "factor", "classical"},
+    "cartan": {"serialize", "classical"},
+    "hc": {"serialize", "harish"},
+    "mean": {"serialize", "amenable"},
+    "gns": {"serialize", "amenable"},
+    "arens": {"serialize", "amenable"},
+}
+
+
+@pytest.mark.parametrize("command", list(_LAYERS))
+def test_a_subcommand_runs_only_its_layers_modules(bench_requests, command):
+    (argv,) = [argv for (workload, _), argv in bench_requests.items()
+               if workload == "cli-small" and argv[0] == command]
+    proc, seen = _probe("from opideal.__main__ import run; sys.exit(run())", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert set(seen["ran"]) == {"cli", "errors", "utils"} | _LAYERS[command]
+
+
+def test_traced_request_records_the_command_and_its_layer(tmp_path):
+    spans_path = tmp_path / "spans.jsonl"
+    proc = subprocess.run([sys.executable, "-m", "bench.tracer", str(spans_path), "0",
+                           "--", "mean", "--group", "q8"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    names = {line[0] for line in lines if isinstance(line, list)}
+    assert {"cli.main", "amenable.invariant_means"} <= names
+
+
+_FIRST_USE_FROM_THREADS = r"""
+import sys, threading
+import opideal
+
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(4)
+failures = []
+
+
+def first_use():
+    barrier.wait()
+    try:
+        opideal.amenable.cyclic_group(5)
+    except Exception as exc:
+        failures.append(repr(exc))
+
+
+threads = [threading.Thread(target=first_use) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads), "a thread is still waiting"
+assert failures == [], failures
+"""
+
+
+def test_first_use_from_four_threads_at_once_runs_the_module_once():
+    proc = subprocess.run([sys.executable, "-c", _FIRST_USE_FROM_THREADS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

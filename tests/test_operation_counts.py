@@ -2,16 +2,9 @@
 out of a flag's adapted basis and the dense numpy.linalg calls of every
 cli-small and matrix-large benchmark request at seed 3, pinned."""
 
-import importlib.util
-import os
-import sys
-from pathlib import Path
-
 import pytest
 
 from opideal.cli import build_parser
-
-_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 # (workload, argv with file names for paths) -> counts; an absent key is 0
 EXPECTED = {
@@ -21,7 +14,7 @@ EXPECTED = {
     ("cli-small", "integral --matrix g8.json --flag flag8.json"): {"in": 2, "out": 6},
     ("cli-small", "ldl-nest --matrix a8.json --flag flag8.json"):
         {"in": 3, "out": 4, "solve": 7},
-    ("cli-small", "qr-nest --matrix g8.json"): {"qr": 1, "svd": 10},
+    ("cli-small", "qr-nest --matrix g8.json"): {"qr": 1, "svd": 9},
     ("cli-small", "cartan --type A --matrix g8.json"): {"eigh": 2, "svd": 2},
     ("cli-small", "iwasawa --matrix g8.json --x0 x0_8.json"):
         {"eigh": 1, "in": 1, "out": 3, "qr": 1, "svd": 9},
@@ -40,7 +33,7 @@ EXPECTED = {
         {"in": 1, "out": 3},
     ("matrix-large", "integral --matrix g256.json"): {},
     ("matrix-large", "ldl-nest --matrix a256.json"): {"solve": 255},
-    ("matrix-large", "qr-nest --matrix g256.json"): {"qr": 1, "svd": 258},
+    ("matrix-large", "qr-nest --matrix g256.json"): {"qr": 1, "svd": 257},
     ("matrix-large", "iwasawa --matrix g256.json --x0 x0_256.json"):
         {"eigh": 1, "in": 1, "out": 3, "qr": 1, "svd": 257},
     ("matrix-large", "hc --matrix g256.json --split 128,128 --z z256.json"):
@@ -51,38 +44,18 @@ EXPECTED = {
     ("matrix-large", "ldl-nest --matrix a128.json --flag flag128.json"):
         {"in": 3, "out": 4, "solve": 127},
     ("matrix-large", "qr-nest --matrix g128.json --flag flag128.json"):
-        {"in": 2, "out": 2, "qr": 1, "svd": 130},
+        {"in": 2, "out": 2, "qr": 1, "svd": 129},
     ("matrix-large", "cartan --type A --matrix g128.json"): {"eigh": 2, "svd": 2},
     ("matrix-large", "iwasawa --matrix g128.json"): {"eigh": 1, "qr": 1, "svd": 129},
 }
 
 
-@pytest.fixture(scope="module")
-def requests(tmp_path_factory):
-    """The requests of both workloads at seed 3, inputs written under a temporary root."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    root = tmp_path_factory.mktemp("workloads")
-    built = {}
-    try:    # its dataclasses look their module up in sys.modules
-        spec.loader.exec_module(workloads)
-        for name in ("cli-small", "matrix-large"):
-            reqs, _ = workloads.build(name, 3, str(root), name)
-            for r in reqs:
-                label = " ".join(os.path.basename(a) for a in r.argv)
-                built[name, label] = [os.path.join(root, a) if a.startswith(name + os.sep)
-                                      else a for a in r.argv]
-    finally:
-        del sys.modules[spec.name]
-    return built
-
-
-def test_every_request_is_pinned(requests):
-    assert sorted(requests) == sorted(EXPECTED)
+def test_every_request_is_pinned(bench_requests):
+    assert sorted(bench_requests) == sorted(EXPECTED)
 
 
 @pytest.mark.parametrize("key", list(EXPECTED), ids=[" ".join(k) for k in EXPECTED])
-def test_operation_counts(requests, op_counts, key):
-    args = build_parser().parse_args(requests[key])
+def test_operation_counts(bench_requests, op_counts, key):
+    args = build_parser().parse_args(bench_requests[key])
     args.func(args)
     assert dict(op_counts) == EXPECTED[key]
