@@ -17,6 +17,11 @@ import types
 
 __version__ = "0.1.0"
 
+# The classical group types, defined here so that the command line can
+# offer them as choices before it loads numpy; utils and classical
+# re-export them.
+CLASSICAL_TYPES = ("A", "B", "C", "AI", "AII", "AIII", "BI", "BII", "CI", "CII")
+
 # The public names, by the module that defines them.
 _EXPORTS = {
     "amenable": (
@@ -27,7 +32,7 @@ _EXPORTS = {
         "sigma", "sigma_dual", "symmetric_group", "translate_left", "translate_right",
         "trivial_group", "triviality_test", "uniform_mean"),
     "classical": (
-        "CLASSICAL_TYPES", "CartanFactors", "IwasawaFactors", "StructureData",
+        "CartanFactors", "IwasawaFactors", "StructureData",
         "algebra_membership", "algebra_project", "cartan_decompose",
         "cartan_involution", "default_structure", "group_membership",
         "irreducibility_check", "iwasawa_algebra_split", "iwasawa_decompose",
@@ -53,7 +58,7 @@ _MODULES = ("amenable", "classical", "cli", "errors", "factor", "harish", "nest"
 
 # What ``from opideal import *`` binds: the names above, and the modules that
 # held them when the package imported them all eagerly.
-__all__ = [*_SOURCE, *_EXPORTS, "utils"]
+__all__ = ["CLASSICAL_TYPES", *_SOURCE, *_EXPORTS, "utils"]
 
 # One lock for every module: a module's code reads other modules' names, so
 # per-module locks could deadlock two threads that start at opposite ends.

@@ -24,12 +24,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import factor, nest
+from . import CLASSICAL_TYPES, factor, nest
 from .errors import DomainError, InputError
-from .utils import (CARTAN_TOL, CLASSICAL_TYPES, EIGEN_GAP_TOL, MEMBERSHIP_TOL,
-                    NULLITY_TOL, as_matrix, cond2, crandn, dagger, expm, frob,
-                    is_hermitian, is_singular, is_unitary, opnorm,
-                    unitary_bound)
+from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_matrix,
+                    cond2, crandn, dagger, expm, frob, is_hermitian, is_singular,
+                    is_unitary, opnorm, unitary_bound)
 
 __all__ = [
     "CLASSICAL_TYPES",

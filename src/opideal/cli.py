@@ -18,11 +18,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import amenable, classical, factor, harish, nest, serialize, symfunc
+from . import (CLASSICAL_TYPES, amenable, classical, factor, harish, nest, serialize,
+               symfunc, utils)
 from .errors import DomainError, InputError
-from .utils import CARTAN_TOL, CLASSICAL_TYPES, REPORT_TOL, dagger, frob
 
 DEFAULT_SEED = 1729
 
@@ -113,43 +111,49 @@ def _cmd_truncate(args):
     part = _partition_for(args, flag)
     low, d, u = nest.split(part, x)
     return {"cuts": list(part.cuts), "diag": d, "upper": u, "lower": low,
-            "residuals": {"sum": _rel(frob(d + u + low - x), frob(x))}}
+            "residuals": {"sum": _rel(utils.frob(d + u + low - x), utils.frob(x))}}
 
 
 def _cmd_integral(args):
     x = serialize.load_matrix(args.matrix)
     flag = _flag_for(args, x.shape[0])
     low, d, u = nest.triangular_integral(flag, x)
-    adj_low, adj_d, _ = nest.triangular_integral(flag, dagger(x))
+    adj_low, adj_d, _ = nest.triangular_integral(flag, utils.dagger(x))
     return {
         "lower": low, "diag": d, "upper": u,
         "residuals": {
-            "sum": _rel(frob(low + d + u - x), frob(x)),
-            "adjoint_lower": frob(adj_low - dagger(u)),
-            "adjoint_diag": frob(adj_d - dagger(d)),
+            "sum": _rel(utils.frob(low + d + u - x), utils.frob(x)),
+            "adjoint_lower": utils.frob(adj_low - utils.dagger(u)),
+            "adjoint_diag": utils.frob(adj_d - utils.dagger(d)),
         },
     }
 
 
 def _cmd_ldl_nest(args):
+    import numpy as np
     a = serialize.load_matrix(args.matrix)
     flag = _flag_for(args, a.shape[0])
     part = _partition_for(args, flag)
     factors = factor.ldl_nest(a, part)
     eye = np.eye(a.shape[0])
-    recon = (eye + factors.r) @ factors.d @ dagger(eye + factors.r)
+    recon = (eye + factors.r) @ factors.d @ utils.dagger(eye + factors.r)
+    # r is truncated once, in its adapted basis: there the truncation is the
+    # standard flag's, and the nilpotency check rotates nothing
+    adapted = nest.Partition(nest.Flag.standard(flag.n, flag.dims), part.cuts)
+    upper = nest.truncate_upper(adapted, flag.to_adapted(factors.r))
     return {
         "cuts": list(part.cuts),
         "r": factors.r, "d": factors.d,
         "residuals": {
-            "reconstruction": _rel(frob(recon - a), frob(a)),
-            "strict_upper": frob(nest.truncate_upper(part, factors.r) - factors.r),
-            "nilpotency_index": factor.nilpotency_check(factors.r, part),
+            "reconstruction": _rel(utils.frob(recon - a), utils.frob(a)),
+            "strict_upper": utils.frob(flag.from_adapted(upper) - factors.r),
+            "nilpotency_index": factor.nilpotency_check(upper, adapted),
         },
     }
 
 
 def _cmd_qr_nest(args):
+    import numpy as np
     g = serialize.load_matrix(args.matrix)
     flag = _flag_for(args, g.shape[0])
     factors = factor.qb_nest(g, flag)
@@ -157,15 +161,17 @@ def _cmd_qr_nest(args):
     return {
         "u": factors.u, "b": factors.b,
         "residuals": {
-            "reconstruction": _rel(frob(factors.u @ factors.b - g), frob(g)),
-            "unitarity": frob(dagger(factors.u) @ factors.u - eye),
-            "nest_membership": nest.is_in_nest_algebra(factors.b, flag, tol=REPORT_TOL),
+            "reconstruction": _rel(utils.frob(factors.u @ factors.b - g), utils.frob(g)),
+            "unitarity": utils.frob(utils.dagger(factors.u) @ factors.u - eye),
+            "nest_membership": nest.is_in_nest_algebra(factors.b, flag,
+                                                       tol=utils.REPORT_TOL),
             "condition_number": factors.condition_number,
         },
     }
 
 
 def _cmd_cartan(args):
+    import numpy as np
     g = serialize.load_matrix(args.matrix)
     split = _parse_split(args.split) if args.split else None
     structure = classical.default_structure(args.type, g.shape[0], split=split)
@@ -173,24 +179,25 @@ def _cmd_cartan(args):
         raise InputError(f"--split applies only to types with a signature; {args.type} has none")
     factors = classical.cartan_decompose(g, args.type, structure)
     w, v = np.linalg.eigh(factors.x)
-    expx = v @ np.diag(np.exp(w)) @ dagger(v)
+    expx = v @ np.diag(np.exp(w)) @ utils.dagger(v)
     eye = np.eye(g.shape[0])
     return {
         "type": args.type,
         "k": factors.k, "x": factors.x,
         "residuals": {
-            "reconstruction": _rel(frob(factors.k @ expx - g), frob(g)),
-            "k_unitarity": frob(dagger(factors.k) @ factors.k - eye),
+            "reconstruction": _rel(utils.frob(factors.k @ expx - g), utils.frob(g)),
+            "k_unitarity": utils.frob(utils.dagger(factors.k) @ factors.k - eye),
             "k_in_group": classical.group_membership(
-                factors.k, args.type, structure, tol=CARTAN_TOL),
+                factors.k, args.type, structure, tol=utils.CARTAN_TOL),
             "x_in_algebra": classical.algebra_membership(
-                factors.x, args.type, structure, tol=CARTAN_TOL),
-            "x_hermitian": frob(factors.x - dagger(factors.x)),
+                factors.x, args.type, structure, tol=utils.CARTAN_TOL),
+            "x_hermitian": utils.frob(factors.x - utils.dagger(factors.x)),
         },
     }
 
 
 def _cmd_iwasawa(args):
+    import numpy as np
     g = serialize.load_matrix(args.matrix)
     x0 = serialize.load_matrix(args.x0) if args.x0 else None
     factors = classical.iwasawa_decompose(g, x0)
@@ -198,9 +205,10 @@ def _cmd_iwasawa(args):
     return {
         "k": factors.k, "a": factors.a, "n": factors.n,
         "residuals": {
-            "reconstruction": _rel(frob(factors.k @ factors.a @ factors.n - g), frob(g)),
-            "k_unitarity": frob(dagger(factors.k) @ factors.k - eye),
-            "a_commutes_x0": frob(factors.a @ factors.x0 - factors.x0 @ factors.a),
+            "reconstruction": _rel(utils.frob(factors.k @ factors.a @ factors.n - g),
+                                   utils.frob(g)),
+            "k_unitarity": utils.frob(utils.dagger(factors.k) @ factors.k - eye),
+            "a_commutes_x0": utils.frob(factors.a @ factors.x0 - factors.x0 @ factors.a),
         },
     }
 
@@ -215,7 +223,7 @@ def _cmd_hc(args):
              @ harish.lower_unipotent(factors.zminus, split))
     report = {
         "zplus": factors.zplus, "kappa": factors.kappa, "zminus": factors.zminus,
-        "residuals": {"reconstruction": _rel(frob(recon - g), frob(g))},
+        "residuals": {"reconstruction": _rel(utils.frob(recon - g), utils.frob(g))},
     }
     if args.z:
         z = serialize.load_matrix(args.z)
@@ -242,6 +250,7 @@ def _cmd_mean(args):
 
 
 def _cmd_gns(args):
+    import numpy as np
     group = serialize.resolve_group(args.group)
     mu = amenable.uniform_mean(group)
     rep = amenable.gns_regular(group, mu)
@@ -407,8 +416,21 @@ def _error(code: str, message) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv (argparse exits 2 on a usage error) and run the command."""
+    return _run(build_parser().parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run a command line that ``build_parser`` has parsed: exit status 0,
+    or 1 with a structured error report.  The process entry parses argv
+    before it loads numpy, then calls this."""
+    return _run(args)
+
+
+def _run(args) -> int:
+    # main calls this body, not run: a tracer that wraps each public
+    # function then sees the command's calls as main's own
+    import numpy as np
     status = 1
     gc_was_enabled = gc.isenabled()
     gc.disable()   # matrix JSON is many small lists, none in a cycle: GC passes find nothing

@@ -1,7 +1,5 @@
 """Small shared linear-algebra helpers and the package's tolerance policy:
-every accept/reject threshold is defined here (see README, "Tolerances").
-Every request runs this module, so it also holds the names the command
-line offers for ``classical``'s group types."""
+every accept/reject threshold is defined here (see README, "Tolerances")."""
 
 from __future__ import annotations
 
@@ -9,6 +7,7 @@ import math
 
 import numpy as np
 
+from . import CLASSICAL_TYPES  # re-exported: the package defines it
 from .errors import InputError
 
 
@@ -86,8 +85,6 @@ MAX_GROUP_ORDER = 1024   # largest finite group built; its table holds |G|^2 ind
 MAX_PROBE_LEN = 512      # longest flat probe of the Boyd scan (boyd --cap), so m_max too
 MAX_EXPERIMENT_DIM = 256   # largest experiment size n; each trial builds an n x n matrix
 MAX_EXPERIMENT_TRIALS = 1000  # most experiment trials per size
-
-CLASSICAL_TYPES = ("A", "B", "C", "AI", "AII", "AIII", "BI", "BII", "CI", "CII")
 
 
 def unitary_bound(n: int) -> float:

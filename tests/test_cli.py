@@ -707,19 +707,30 @@ def test_module_entry_freezes_the_import_heap(workdir, capsys, args):
 
 
 _ENTRY_WITH_GC_PROBE = r"""
-import gc, sys
+import gc, json, os, sys
 gc.enable() if sys.argv.pop(1) == "on" else gc.disable()
 enabled = gc.isenabled()
 gc.collect()    # empty generations: only what follows can start a pass
 passes = []     # the freeze count at the start of each pass
 gc.callbacks.append(lambda phase, info: phase == "start"
                     and passes.append(gc.get_freeze_count()))
+numpy_at_freeze = []
+freeze = gc.freeze
+gc.freeze = lambda: numpy_at_freeze.append("numpy" in sys.modules) or freeze()
 import opideal.__main__ as entry
 assert gc.isenabled() is enabled, "importing the entry changed the GC state"
 sys.argv = ["opideal", *sys.argv[1:]]
+cli_source = os.path.join("opideal", "cli.py")
+parsers = []    # the calls of cli.build_parser
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and frame.f_code.co_name == "build_parser"
+               and frame.f_code.co_filename.endswith(cli_source) and parsers.append(1))
 status = entry.run()
+sys.setprofile(None)
 assert gc.isenabled() is enabled, "the entry changed the GC state"
-sys.stderr.write(f"unfrozen passes={passes.count(0)}\n")
+sys.stderr.write(json.dumps({"unfrozen passes": passes.count(0),
+                             "numpy at freeze": numpy_at_freeze,
+                             "parsers built": len(parsers)}) + "\n")
 sys.exit(status)
 """
 
@@ -727,11 +738,13 @@ sys.exit(status)
 @pytest.mark.parametrize("gc_before", ["on", "off"])
 def test_module_entry_imports_with_the_collector_paused(gc_before):
     # no GC pass runs before the freeze: importing the package and the entry
-    # imports no numpy, and run() pauses the collector around the rest
+    # imports no numpy, and run() pauses the collector around the rest; argv
+    # is parsed once, and numpy is loaded before the freeze
     proc = subprocess.run([sys.executable, "-c", _ENTRY_WITH_GC_PROBE, gc_before,
                            "mean", "--group", "q8"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "unfrozen passes=0"
+    assert json.loads(proc.stderr.splitlines()[-1]) == {
+        "unfrozen passes": 0, "numpy at freeze": [True], "parsers built": 1}
 
 
 def test_console_script_is_the_module_entry():

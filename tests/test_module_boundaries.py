@@ -1,7 +1,8 @@
 """Each module of the package keeps its private names to itself: no module
 imports or reads another module's ``_name``.  A process runs only the
-modules it reads: ``import opideal`` runs none, and each subcommand runs
-the modules of its own layer."""
+modules it reads: ``import opideal`` runs none, a help or usage error
+only cli and errors, with no numpy, and each subcommand the modules of
+its own layer."""
 
 import ast
 import json
@@ -96,6 +97,38 @@ def test_cli_leaves_the_array_format_to_serialize():
     assert not names & {"matrix_to_obj", "complex_to_pairs"}
 
 
+def _run_at_import(tree):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of its functions and lambdas."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _loads_numpy(module):
+    """Whether importing the package module imports numpy, itself or
+    through a ``from .<module> import`` of another."""
+    for node in _run_at_import(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "numpy" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level == 0 and node.module.split(".")[0] == "numpy"
+                or node.level == 1 and _loads_numpy(node.module)):
+            return True
+    return False
+
+
+def test_cli_parses_argv_before_it_loads_numpy():
+    """``--help`` and usage errors exit before numpy is imported: the
+    command line's handlers import it where they run."""
+    assert _loads_numpy("utils") and _loads_numpy("factor")   # the guard can fire
+    assert not _loads_numpy("cli")
+
+
 # Runs the code after it, then writes to stderr, as one JSON line, the
 # package modules whose code ran (by the audit event of each module body's
 # exec), whether numpy was imported, and the package modules in sys.modules.
@@ -145,33 +178,55 @@ def test_star_import_binds_every_exported_name():
     assert all(getattr(opideal, name) is value for name, value in namespace.items())
 
 
-# The modules each subcommand runs besides cli, errors and utils.
-_LAYERS = {
-    "svalues": {"serialize", "symfunc"},
-    "norm": {"serialize", "symfunc"},
-    "dualnorm": {"serialize", "symfunc"},
-    "boyd": {"serialize", "symfunc"},
-    "truncate": {"serialize", "nest"},
-    "integral": {"serialize", "nest"},
-    "experiment": {"nest", "symfunc"},
-    "ldl-nest": {"serialize", "nest", "factor"},
-    "qr-nest": {"serialize", "nest", "factor"},
-    "iwasawa": {"serialize", "nest", "factor", "classical"},
-    "cartan": {"serialize", "classical"},
-    "hc": {"serialize", "harish"},
-    "mean": {"serialize", "amenable"},
-    "gns": {"serialize", "amenable"},
-    "arens": {"serialize", "amenable"},
+_USAGE = "help or usage error"
+_ENTRY = "from opideal.__main__ import run; sys.exit(run())"
+
+# The modules each request runs: argv is parsed by cli and errors alone,
+# and a command runs utils and its layer's modules besides.
+_MODULES_RUN = {
+    _USAGE: {"cli", "errors"},
+    "svalues": {"cli", "errors", "utils", "serialize", "symfunc"},
+    "norm": {"cli", "errors", "utils", "serialize", "symfunc"},
+    "dualnorm": {"cli", "errors", "utils", "serialize", "symfunc"},
+    "boyd": {"cli", "errors", "utils", "serialize", "symfunc"},
+    "truncate": {"cli", "errors", "utils", "serialize", "nest"},
+    "integral": {"cli", "errors", "utils", "serialize", "nest"},
+    "experiment": {"cli", "errors", "utils", "nest", "symfunc"},
+    "ldl-nest": {"cli", "errors", "utils", "serialize", "nest", "factor"},
+    "qr-nest": {"cli", "errors", "utils", "serialize", "nest", "factor"},
+    "iwasawa": {"cli", "errors", "utils", "serialize", "nest", "factor", "classical"},
+    "cartan": {"cli", "errors", "utils", "serialize", "classical"},
+    "hc": {"cli", "errors", "utils", "serialize", "harish"},
+    "mean": {"cli", "errors", "utils", "serialize", "amenable"},
+    "gns": {"cli", "errors", "utils", "serialize", "amenable"},
+    "arens": {"cli", "errors", "utils", "serialize", "amenable"},
 }
+_COMMANDS = [command for command in _MODULES_RUN if command != _USAGE]
 
 
-@pytest.mark.parametrize("command", list(_LAYERS))
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_a_subcommand_runs_only_its_layers_modules(bench_requests, command):
     (argv,) = [argv for (workload, _), argv in bench_requests.items()
                if workload == "cli-small" and argv[0] == command]
-    proc, seen = _probe("from opideal.__main__ import run; sys.exit(run())", *argv)
+    proc, seen = _probe(_ENTRY, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert set(seen["ran"]) == {"cli", "errors", "utils"} | _LAYERS[command]
+    assert set(seen["ran"]) == _MODULES_RUN[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([command, "--help"] for command in _COMMANDS),
+    [],
+    ["bogus"],
+    ["svalues", "--matrix", "m.json", "--bogus"],
+    ["cartan", "--type", "Z"],
+    ["boyd", "--mmax", "x"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_exit_before_numpy_is_imported(argv):
+    proc, seen = _probe(_ENTRY, *argv)
+    assert proc.returncode == (0 if "--help" in argv else 2), proc.stderr
+    assert not seen["numpy"]
+    assert set(seen["ran"]) == _MODULES_RUN[_USAGE]
 
 
 def test_traced_request_records_the_command_and_its_layer(tmp_path):

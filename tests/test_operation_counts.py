@@ -13,7 +13,7 @@ EXPECTED = {
     ("cli-small", "truncate --matrix g8.json --cuts 2,4,8"): {},
     ("cli-small", "integral --matrix g8.json --flag flag8.json"): {"in": 2, "out": 6},
     ("cli-small", "ldl-nest --matrix a8.json --flag flag8.json"):
-        {"in": 3, "out": 4, "solve": 7},
+        {"in": 2, "out": 3, "solve": 7},
     ("cli-small", "qr-nest --matrix g8.json"): {"qr": 1, "svd": 9},
     ("cli-small", "cartan --type A --matrix g8.json"): {"eigh": 2, "svd": 2},
     ("cli-small", "iwasawa --matrix g8.json --x0 x0_8.json"):
@@ -42,7 +42,7 @@ EXPECTED = {
     ("matrix-large", "truncate --matrix g128.json --cuts 32,64,128"): {},
     ("matrix-large", "integral --matrix g128.json --flag flag128.json"): {"in": 2, "out": 6},
     ("matrix-large", "ldl-nest --matrix a128.json --flag flag128.json"):
-        {"in": 3, "out": 4, "solve": 127},
+        {"in": 2, "out": 3, "solve": 127},
     ("matrix-large", "qr-nest --matrix g128.json --flag flag128.json"):
         {"in": 2, "out": 2, "qr": 1, "svd": 129},
     ("matrix-large", "cartan --type A --matrix g128.json"): {"eigh": 2, "svd": 2},
