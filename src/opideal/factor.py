@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .nest import Flag, Partition, truncate_upper
+from .nest import Flag, Partition
 from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, cond2, dagger, frob,
-                    is_hermitian, is_singular, opnorm)
+                    is_hermitian, is_singular)
 
 __all__ = ["LdlFactors", "QbFactors", "ldl_nest", "qb_nest", "nilpotency_check"]
 
@@ -119,18 +119,18 @@ def qb_nest(g, flag: Flag) -> QbFactors:
 
 
 def nilpotency_check(r, partition: Partition) -> int:
-    """Smallest power at which r vanishes numerically; at most the block count.
-
-    r must be strictly block upper for the partition; the k-th power is
-    compared against NILPOTENCY_TOL times the k-th power of max(1, ||r||).
-    """
-    r = as_matrix(r, square=True, name="r")
-    if frob(truncate_upper(partition, r) - r) > NILPOTENCY_TOL * max(1.0, frob(r)):
+    """Blocks in the longest chain i0 < i1 < ... of nonzero blocks of r, which
+    must be strictly block upper within NILPOTENCY_TOL relative to ||r||_F.
+    r^k sums products of r's blocks along chains of k + 1 blocks, so it is 0
+    from this power on: the nilpotency index for generic r, else a bound."""
+    y = partition.flag.to_adapted(as_matrix(r, square=True, name="r"))
+    upper = partition.index[:, None] < partition.index[None, :]
+    if frob(np.where(upper, 0.0, y)) > NILPOTENCY_TOL * frob(y):
         raise InputError("r is not strictly block upper for the partition")
-    scale = max(1.0, opnorm(r))
-    power = r.copy()
-    for k in range(1, partition.block_count + 1):
-        if frob(power) <= NILPOTENCY_TOL * scale**k:
-            return k
-        power = power @ r
-    raise DomainError("no nilpotency index within the block count")
+    starts = partition.bounds[:-1]
+    blocks = np.logical_or.reduceat(
+        np.logical_or.reduceat(upper & (y != 0), starts, axis=0), starts, axis=1)
+    chain = np.ones(len(starts), dtype=int)   # the longest chain ending at each block
+    for j in range(1, len(starts)):
+        chain[j] += chain[:j][blocks[:j, j]].max(initial=0)
+    return int(chain.max())

@@ -72,7 +72,7 @@ UNITARY_TOL = 1e-12      # Frobenius residual of u* u = 1, per max(1, sqrt(n))
 HERMITIAN_TOL = 1e-10    # ||a - a*||_F relative to ||a||_F
 PD_THRESHOLD = 1e-10     # smallest eigenvalue relative to the largest, for definiteness
 EIGEN_GAP_TOL = 1e-8     # eigenvalue gap of a regular element, relative to max |lambda|
-NILPOTENCY_TOL = 1e-12   # strict-upper residual and vanishing power, relative to ||r||
+NILPOTENCY_TOL = 1e-12   # strict-upper residual of a given r, relative to ||r||_F
 NEST_TOL = 1e-12         # default per-cut residual of nest-algebra membership
 MEMBERSHIP_TOL = 1e-10   # default relation residual of classical group/algebra membership
 CARTAN_TOL = 1e-8        # group relations required by, and reported after, the polar split

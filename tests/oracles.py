@@ -14,12 +14,15 @@ conversion where the matrix loader streams [re, im] pairs into one float
 array, reports whose arrays are all encoded before ``json.dumps``
 where the command line encodes each one as the report is written, and the
 fractional-linear formula for the Harish-Chandra action where the package
-reads it off a block factorization.
+reads it off a block factorization, and the powers of an integer matrix in
+Python integers where the package reads a nilpotency index off the block
+pattern.
 """
 
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 from scipy.optimize import minimize
@@ -74,6 +77,19 @@ def nest_membership_per_cut(b, flag, tol):
         if opnorm(be - e @ be) > tol:
             return False
     return True
+
+
+def nilpotency_index_exact(r):
+    """Smallest k with r^k = 0, by powers of an integer matrix in Python
+    integers; ValueError if r is not nilpotent."""
+    rows = [[int(v) for v in row] for row in r]
+    cols = list(zip(*rows))
+    power = rows
+    for k in range(1, len(rows) + 1):
+        if not any(any(row) for row in power):
+            return k
+        power = [[sum(map(operator.mul, p, col)) for col in cols] for p in power]
+    raise ValueError("r is not nilpotent")
 
 
 def invariance_nullity(group, tol):

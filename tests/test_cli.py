@@ -299,6 +299,22 @@ def test_mean_and_gns_build_no_second_representation(workdir, capsys, monkeypatc
     assert regular == [rep["dim"]] and built == []
 
 
+@pytest.mark.parametrize("halves, index", [(False, 32), (True, 16)])
+def test_ldl_nest_reports_the_longest_chain_of_nonzero_blocks(tmp_path, capsys,
+                                                              halves, index):
+    # on the maximal partition r is dense strictly upper for a generic a, of
+    # index n; a = diag(A1, A2) factors half by half, so r's chains stop at 16
+    rng = np.random.default_rng(8)
+    g = crandn(rng, 32, 32)
+    a = g.conj().T @ g + np.eye(32)
+    if halves:
+        a[:16, 16:] = a[16:, :16] = 0.0
+    save_matrix(tmp_path / "a.json", a)
+    code, out = run_cli(["ldl-nest", "--matrix", str(tmp_path / "a.json")], capsys)
+    assert code == 0
+    assert json.loads(out)["residuals"]["nilpotency_index"] == index
+
+
 @pytest.mark.parametrize("argv", [["gns", "--group", "z1024"],
                                   ["gns", "--group", "d512"],
                                   ["mean", "--group", "z1024"]],

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opideal import (DomainError, Flag, InputError, LdlFactors, Partition,
                      is_in_nest_algebra, ldl_nest, nilpotency_check, qb_nest,
                      truncate_upper)
 from opideal.utils import crandn, dagger, frob
-from oracles import cholesky_udu_oracle, gram_schmidt_qr, random_flag
+from oracles import (cholesky_udu_oracle, gram_schmidt_qr, nilpotency_index_exact,
+                     random_flag)
 
 
 def random_spd(rng, n, shift=0.5):
@@ -187,3 +190,57 @@ def test_nilpotency_examples():
     assert nilpotency_check(jordan, part) == 4
     with pytest.raises(InputError):
         nilpotency_check(np.eye(4), part)        # diagonal is not strictly upper
+
+
+def test_strict_upper_floor_is_relative():
+    rng = np.random.default_rng(5)
+    part = Partition.maximal(Flag.standard(6))
+    r = np.triu(rng.standard_normal((6, 6)), 1)
+    for k in (-600, 600):
+        assert nilpotency_check(np.ldexp(r, k), part) == 6
+    tiny = np.ldexp(r, -600)
+    tiny[5, 0] = 1e-6 * frob(tiny)
+    with pytest.raises(InputError, match="not strictly block upper"):
+        nilpotency_check(tiny, part)
+
+
+@st.composite
+def _block_patterns(draw):
+    """A partition of a standard flag into at most 12 blocks of 1 to 3
+    coordinates, the 0/1 mask of a random strictly upper block pattern on
+    it, and a seed for the entries."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+    above = np.triu_indices(len(sizes), 1)
+    blocks = np.zeros((len(sizes), len(sizes)), dtype=int)
+    blocks[above] = draw(st.lists(st.booleans(), min_size=len(above[0]),
+                                  max_size=len(above[0])))
+    cuts = np.cumsum(sizes).tolist()
+    part = Partition(Flag.standard(cuts[-1]), cuts)
+    mask = blocks[part.index[:, None], part.index[None, :]]
+    return part, mask, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_patterns())
+def test_nilpotency_index_is_exact_without_cancellation(pattern):
+    # every entry of a nonzero block is positive, so no sum of chain products
+    # cancels; magnitudes from 1 to 9 * 2^40 make some powers tiny against ||r||^k
+    part, mask, rng = pattern
+    r = mask * rng.integers(1, 10, mask.shape) << rng.integers(0, 41, mask.shape)
+    assert nilpotency_check(r, part) == nilpotency_index_exact(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_patterns())
+def test_nilpotency_index_bounds_the_exact_one(pattern):
+    part, mask, rng = pattern
+    r = mask * rng.integers(-2, 3, mask.shape)
+    assert nilpotency_index_exact(r) <= nilpotency_check(r, part) <= part.block_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_patterns(), st.integers(-1000, 1000))
+def test_nilpotency_index_is_the_same_at_every_scale(pattern, k):
+    part, mask, rng = pattern
+    r = mask * rng.uniform(0.5, 2.0, mask.shape)
+    assert nilpotency_check(np.ldexp(r, k), part) == nilpotency_check(r, part)

@@ -122,6 +122,55 @@ def _loads_numpy(module):
     return False
 
 
+def import_graph(sources):
+    """Each module's module-level relative imports of the other modules given,
+    from their sources by module name."""
+    graph = {}
+    for name, source in sources.items():
+        imported = set()
+        for node in _run_at_import(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    imported.add(node.module.split(".")[0])
+                else:
+                    imported.update(alias.name for alias in node.names)
+        graph[name] = imported & set(sources)
+    return graph
+
+
+def import_order(graph):
+    """The modules, each after every module it imports, alphabetical within a
+    layer; a ValueError naming the modules left when their imports cycle."""
+    order = []
+    while len(order) < len(graph):
+        ready = sorted(m for m in graph if m not in order and graph[m] <= set(order))
+        if not ready:
+            raise ValueError(f"import cycle among {sorted(set(graph) - set(order))}")
+        order += ready
+    return order
+
+
+def test_module_level_imports_are_acyclic():
+    """A module's import-time code never waits on a module that waits on it:
+    the package's one lock and plain per-module import locks rely on this.
+    ``__init__`` imports none of the modules."""
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")
+               if path.stem != "__init__"}
+    graph = import_graph(sources)
+    assert graph["factor"] == {"errors", "nest", "utils"}    # the guard reads imports
+    order = import_order(graph)
+    assert order[-1] == "cli" and set(order) == set(sources)
+
+
+def test_import_guard_finds_a_cycle():
+    graph = import_graph({"a": "from .b import x", "b": "from . import c",
+                          "c": "import json\nfrom . import a, CONSTANT",
+                          "d": "def f():\n    from . import d"})
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
+    with pytest.raises(ValueError, match=r"cycle among \['a', 'b', 'c'\]"):
+        import_order(graph)
+
+
 def test_cli_parses_argv_before_it_loads_numpy():
     """``--help`` and usage errors exit before numpy is imported: the
     command line's handlers import it where they run."""

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,17 @@ def test_experiment_trace_gauge_trend_is_monotone():
                                       [4, 8, 16, 32, 64], trials=60, seed=7)
     ratios = [r for _, r in rows]
     assert all(b >= a for a, b in zip(ratios, ratios[1:]))
+
+
+def test_experiment_holds_one_trial_at_a_time():
+    # a size's 200 trials stacked for one batched SVD would hold about 50 MB
+    tracemalloc.start()
+    try:
+        truncation_norm_experiment(SymNormFunc.schatten(1), [4, 8, 16, 32, 64], 200, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_experiment_caps_are_checked_before_any_trial(monkeypatch):
