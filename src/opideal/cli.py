@@ -163,8 +163,8 @@ def _cmd_qr_nest(args):
         "residuals": {
             "reconstruction": _rel(utils.frob(factors.u @ factors.b - g), utils.frob(g)),
             "unitarity": utils.frob(utils.dagger(factors.u) @ factors.u - eye),
-            "nest_membership": nest.is_in_nest_algebra(factors.b, flag,
-                                                       tol=utils.REPORT_TOL),
+            "nest_membership": nest.is_in_nest_algebra(
+                factors.b, flag, tol=utils.NEST_TOL * utils.frob(factors.b)),
             "condition_number": factors.condition_number,
         },
     }

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .utils import MAX_PROBE_LEN, SINGULAR_CLIP, UNIT_NORM_TOL, as_matrix
+from .utils import MAX_PROBE_LEN, SINGULAR_CLIP, as_matrix
 
 _TINY = np.finfo(float).tiny    # smallest normal float
 
@@ -397,8 +397,9 @@ def boyd_estimate(phi: SymNormFunc, m_max: int, seq_len: int) -> BoydEstimate:
 
     The lower index is sup_m log m / log ||D_m|| and the upper index is
     inf_m log(1/m) / log ||D_{1/m}||, both scanned over 2 <= m <= m_max on
-    the flat sequences 1_1, ..., 1_seq_len.  Degenerate logarithms (norms at
-    1) contribute +inf, matching gauges equivalent to the sup norm.
+    the flat sequences 1_1, ..., 1_seq_len.  A term whose norm is not past 1
+    in floating point (a dilation norm <= 1, a contraction norm >= 1) has a
+    degenerate logarithm and contributes +inf, as for the sup norm.
     """
     if m_max < 2:
         raise InputError("m_max must be >= 2")
@@ -410,10 +411,8 @@ def boyd_estimate(phi: SymNormFunc, m_max: int, seq_len: int) -> BoydEstimate:
         dm = dilation_norm(phi, m, seq_len)
         cm = contraction_norm(phi, m, seq_len)
         dnorms[m], cnorms[m] = dm, cm
-        p_terms.append(math.inf if dm <= 1.0 + UNIT_NORM_TOL
-                       else math.log(m) / math.log(dm))
-        q_terms.append(math.inf if cm >= 1.0 - UNIT_NORM_TOL
-                       else math.log(1.0 / m) / math.log(cm))
+        p_terms.append(math.inf if dm <= 1.0 else math.log(m) / math.log(dm))
+        q_terms.append(math.inf if cm >= 1.0 else math.log(1.0 / m) / math.log(cm))
     return BoydEstimate(
         p_hat=max(p_terms),
         q_hat=min(q_terms),

@@ -32,13 +32,16 @@ _NORM_TINY = math.sqrt(np.finfo(float).tiny)   # a norm below it may hide underf
 
 def frob(a) -> float:
     """Frobenius norm, exact under scaling by powers of 2: a norm whose squares
-    overflow or may underflow is taken of a / 2^e, 2^e above the largest |entry|."""
+    overflow or may underflow is taken of a / 2^e, 2^e above the largest |entry|,
+    unless a is exactly zero."""
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(a))
     if _NORM_TINY <= r < math.inf:
         return r
     a = np.asarray(a)
-    e = int(np.frexp(np.abs([a.real, a.imag]).max(initial=0.0))[1])
+    if r == 0.0 and not a.any():
+        return 0.0
+    e = int(np.frexp(np.abs([a.real, a.imag]).max())[1])
     return float(np.ldexp(np.linalg.norm(np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)), e))
 
 
@@ -73,14 +76,12 @@ HERMITIAN_TOL = 1e-10    # ||a - a*||_F relative to ||a||_F
 PD_THRESHOLD = 1e-10     # smallest eigenvalue relative to the largest, for definiteness
 EIGEN_GAP_TOL = 1e-8     # eigenvalue gap of a regular element, relative to max |lambda|
 NILPOTENCY_TOL = 1e-12   # strict-upper residual of a given r, relative to ||r||_F
-NEST_TOL = 1e-12         # default per-cut residual of nest-algebra membership
+NEST_TOL = 1e-12         # per-cut residual of nest membership; qr-nest's b at it * ||b||_F
 MEMBERSHIP_TOL = 1e-10   # default relation residual of classical group/algebra membership
 CARTAN_TOL = 1e-8        # group relations required by, and reported after, the polar split
 NULLITY_TOL = 1e-9       # commutant singular values relative to the largest
 GNS_TOL = 1e-10          # a mean given to the GNS construction: probability and invariance
 ZERO_TOL = 1e-12         # mean weights: a weight, imaginary or negative part, or sum - 1 is 0
-REPORT_TOL = 1e-9        # CLI report check: nest membership of the qr-nest factor b
-UNIT_NORM_TOL = 1e-12    # a dilation norm this close to 1 counts as 1 (index +inf)
 MAX_GROUP_ORDER = 1024   # largest finite group built; its table holds |G|^2 indices
 MAX_PROBE_LEN = 512      # longest flat probe of the Boyd scan (boyd --cap), so m_max too
 MAX_EXPERIMENT_DIM = 256   # largest experiment size n; each trial builds an n x n matrix

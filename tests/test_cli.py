@@ -444,9 +444,10 @@ def test_non_hermitian_input_is_refused_at_every_scale(tmp_path, capsys, scale):
 
 
 # A fixed well-conditioned positive definite 4 x 4 matrix, a regular x0 with
-# a rotated eigenflag, and an hc point
+# a rotated eigenflag, an hc point and a rotated maximal flag
 _SCALE_B = crandn(np.random.default_rng(41), 4, 4)
 _SCALE_A = _SCALE_B @ _SCALE_B.conj().T / 4.0 + np.eye(4)
+_SCALE_FLAG = Flag(np.linalg.qr(crandn(np.random.default_rng(43), 4, 4))[0], range(1, 5))
 _SCALE_X0 = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 1.0j, 0.0],
                       [0.0, -1.0j, 1.0, 0.5], [0.0, 0.0, 0.5, -1.0]])
 _SCALE_Z = np.array([[0.3, -0.2j], [0.1, 0.4]])
@@ -456,6 +457,7 @@ def _scaled_report(tmp_path, capsys, argv, k):
     save_matrix(tmp_path / "a.json", np.ldexp(1.0, k) * _SCALE_A)
     save_matrix(tmp_path / "x0.json", _SCALE_X0)
     save_matrix(tmp_path / "z.json", _SCALE_Z)
+    save_flag(tmp_path / "flag.json", _SCALE_FLAG)
     argv = [a.format(d=tmp_path) for a in argv] + ["--matrix", str(tmp_path / "a.json")]
     code, out = run_cli(argv, capsys)
     return code, _strict_json(out)
@@ -466,22 +468,50 @@ def _scaled_report(tmp_path, capsys, argv, k):
     ["qr-nest"],
     ["iwasawa", "--x0", "{d}/x0.json"],
     ["hc", "--split", "2,2", "--z", "{d}/z.json"],
-], ids=["ldl-nest", "qr-nest", "iwasawa", "hc"])
+    ["ldl-nest", "--flag", "{d}/flag.json"],
+    ["qr-nest", "--flag", "{d}/flag.json"],
+    ["truncate", "--flag", "{d}/flag.json", "--cuts", "1,3,4"],
+    ["integral", "--flag", "{d}/flag.json"],
+], ids=["ldl-nest", "qr-nest", "iwasawa", "hc",
+        "ldl-nest-flag", "qr-nest-flag", "truncate-flag", "integral-flag"])
 @pytest.mark.parametrize("k", [-600, 600])
 def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, k):
-    """2^k A factors as A does, and every residual is the same relative number."""
+    """2^k A factors as A does, every residual is the same relative number,
+    and every verdict is the same."""
     code0, base = _scaled_report(tmp_path, capsys, argv, 0)
     code, report = _scaled_report(tmp_path, capsys, argv, k)
     assert code == code0 == 0
     res0, res = base["residuals"], report["residuals"]
-    assert res0["reconstruction"] > 0.0     # a rounding error to carry across scales
-    assert res["reconstruction"] == res0["reconstruction"]
+    relative = "reconstruction" if "reconstruction" in res0 else "sum"
+    assert res0[relative] > 0.0     # a rounding error to carry across scales
+    assert res[relative] == res0[relative]
     assert res.get("nilpotency_index") == res0.get("nilpotency_index")
+    assert res.get("nest_membership") == res0.get("nest_membership")
+    for absolute in ("adjoint_lower", "adjoint_diag"):
+        if absolute in res0:
+            assert res[absolute] == np.ldexp(res0[absolute], k)
     if "a_commutes_x0" in res0:
         assert res["a_commutes_x0"] == np.ldexp(res0["a_commutes_x0"], k)
     if "condition_number" in res0:
         assert res["condition_number"] == pytest.approx(
             res0["condition_number"], rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("command", ["truncate", "integral"])
+def test_residuals_of_the_zero_matrix_are_zero(tmp_path, capsys, command, rotated):
+    # the only input whose relative residual has a zero reference: the other
+    # matrix subcommands reject a zero matrix
+    save_matrix(tmp_path / "x.json", np.zeros((3, 3)))
+    argv = [command, "--matrix", str(tmp_path / "x.json")]
+    if rotated:
+        q = np.linalg.qr(crandn(np.random.default_rng(47), 3, 3))[0]
+        save_flag(tmp_path / "flag.json", Flag(q, [1, 3]))
+        argv += ["--flag", str(tmp_path / "flag.json")]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    residuals = _strict_json(out)["residuals"]
+    assert residuals and all(v == 0.0 for v in residuals.values())
 
 
 def test_unwritable_output_is_an_io_error_on_stdout(workdir, capsys):

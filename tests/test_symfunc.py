@@ -257,6 +257,31 @@ def test_boyd_estimate_kyfan_gauge():
     assert est.p_hat <= est.q_hat
 
 
+def test_boyd_indices_near_the_sup_norm_are_finite():
+    # ||D_m|| = m^(1/p) is within 1e-12 of 1 but above it in floating point,
+    # and so is 1/||D_(1/m)||: both indices are read off the scan
+    est = boyd_estimate(SymNormFunc.schatten(1e12), 32, 256)
+    assert est.p_hat == pytest.approx(1e12, rel=1e-5)
+    assert est.q_hat == pytest.approx(1e12, rel=1e-5)
+
+
+@pytest.mark.parametrize("phi", [SymNormFunc.schatten(1e17), SymNormFunc.schatten(math.inf),
+                                 SymNormFunc.kyfan(1)], ids=str)
+def test_boyd_indices_are_infinite_where_the_norms_are_one(phi):
+    # the flat-probe scan reads these norms as 1.0 exactly
+    est = boyd_estimate(phi, 32, 256)
+    assert set(est.dilation_norms.values()) == set(est.contraction_norms.values()) == {1.0}
+    assert math.isinf(est.p_hat) and math.isinf(est.q_hat)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_kyfan_block_averages_have_norm_one(k):
+    # the probe of k m ones averages to k ones, of the same gauge k
+    est = boyd_estimate(SymNormFunc.kyfan(k), 32, 256)
+    assert set(est.contraction_norms.values()) == {1.0}
+    assert math.isinf(est.q_hat)
+
+
 def test_boyd_estimate_validation():
     with pytest.raises(InputError):
         boyd_estimate(SymNormFunc.schatten(2), 1, 16)

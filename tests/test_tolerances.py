@@ -94,6 +94,19 @@ def test_frobenius_norm_is_exact_under_power_of_two_scaling():
             frob(np.full((2, 2), 1e308))
 
 
+def test_frobenius_norm_of_a_zero_matrix_is_not_rescaled(monkeypatch):
+    # only a nonzero matrix whose squares may underflow takes the rescale path
+    def rescale(*args):
+        raise AssertionError("rescaled")
+
+    monkeypatch.setattr(np, "frexp", rescale)
+    for shape in ((256, 256), (3, 3), (0, 2)):
+        assert frob(np.zeros(shape, complex)) == 0.0
+    assert frob(np.array([[-0.0, 0.0j]])) == 0.0
+    with pytest.raises(AssertionError, match="rescaled"):
+        frob(np.array([[5e-324]]))
+
+
 def _module_constants(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     targets = [t for node in tree.body if isinstance(node, ast.Assign)
@@ -122,3 +135,21 @@ def test_readme_tolerance_rows_name_only_utils_constants():
     assert "COND_LIMIT" in listed and "MAX_GROUP_ORDER" in listed
     stale = [name for name in listed if name not in names]
     assert stale == [], f"README.md rows for constants not in utils: {stale}"
+
+
+def _unread_constants(package):
+    reads = {node.id if isinstance(node, ast.Name) else node.attr
+             for path in package.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return [name for name in _module_constants(package / "utils.py") if name not in reads]
+
+
+def test_every_utils_constant_is_read_in_the_package(tmp_path):
+    assert _unread_constants(PACKAGE) == []
+    # a constant that only its own definition names is stale
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "utils.py", "a") as fh:
+        fh.write("STALE_TOL = 1e-9\n")
+    assert _unread_constants(tmp_path) == ["STALE_TOL"]
