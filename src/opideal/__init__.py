@@ -18,19 +18,21 @@ import types
 __version__ = "0.1.0"
 
 # The classical group types, defined here so that the command line can
-# offer them as choices before it loads numpy; utils and classical
-# re-export them.
+# offer them as choices before it loads numpy; classical reads them too.
 CLASSICAL_TYPES = ("A", "B", "C", "AI", "AII", "AIII", "BI", "BII", "CI", "CII")
 
-# The public names, by the module that defines them.
+# The public API, and its only list: every public class and function of
+# each layer module, by that module.  serialize, utils and cli are reached
+# as modules.
 _EXPORTS = {
     "amenable": (
         "FiniteGroup", "Functional", "GroupFunction", "RegularRep", "UnitaryRep",
-        "arens_product", "cyclic_group", "delta_functional", "dihedral_group",
-        "gns_regular", "integrate_rep", "invariance_residual", "invariant_means",
-        "is_mean", "left_regular_rep", "quaternion_group", "regular_character",
-        "sigma", "sigma_dual", "symmetric_group", "translate_left", "translate_right",
-        "trivial_group", "triviality_test", "uniform_mean"),
+        "arens_product", "check_group_order", "cyclic_group", "delta_functional",
+        "dihedral_group", "gns_regular", "integrate_rep", "invariance_residual",
+        "invariant_means", "is_mean", "left_regular_rep", "quaternion_group",
+        "regular_character", "sigma", "sigma_dual", "symmetric_group",
+        "translate_left", "translate_right", "trivial_group", "triviality_test",
+        "uniform_mean"),
     "classical": (
         "CartanFactors", "IwasawaFactors", "StructureData",
         "algebra_membership", "algebra_project", "cartan_decompose",
@@ -44,8 +46,9 @@ _EXPORTS = {
         "hc_factorize", "lower_unipotent", "upper_unipotent"),
     "nest": (
         "Flag", "Partition", "is_in_nest_algebra", "project",
-        "refinement_identities_check", "triangular_integral", "truncate_diag",
-        "truncate_lower", "truncate_upper", "truncation_norm_experiment"),
+        "refinement_identities_check", "split", "triangular_integral",
+        "truncate_diag", "truncate_lower", "truncate_upper",
+        "truncation_norm_experiment"),
     "symfunc": (
         "BoydEstimate", "DualNormResult", "NonincreasingSequence", "SymNormFunc",
         "adjoint_phi_eval", "boyd_estimate", "contract", "contraction_norm", "dilate",

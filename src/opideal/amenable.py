@@ -20,35 +20,6 @@ from .errors import InputError
 from .utils import (GNS_TOL, MAX_GROUP_ORDER, ZERO_TOL, as_matrix, frob,
                     is_unitary, unitary_bound)
 
-__all__ = [
-    "FiniteGroup",
-    "check_group_order",
-    "GroupFunction",
-    "Functional",
-    "UnitaryRep",
-    "RegularRep",
-    "trivial_group",
-    "cyclic_group",
-    "dihedral_group",
-    "quaternion_group",
-    "symmetric_group",
-    "delta_functional",
-    "uniform_mean",
-    "is_mean",
-    "translate_left",
-    "translate_right",
-    "invariant_means",
-    "invariance_residual",
-    "arens_product",
-    "sigma",
-    "sigma_dual",
-    "left_regular_rep",
-    "regular_character",
-    "integrate_rep",
-    "gns_regular",
-    "triviality_test",
-]
-
 
 class FiniteGroup:
     """A finite group presented by its Cayley table of element indices.

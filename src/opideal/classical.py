@@ -30,25 +30,6 @@ from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_m
                     cond2, crandn, dagger, expm, frob, is_hermitian, is_singular,
                     is_unitary, opnorm, unitary_bound)
 
-__all__ = [
-    "CLASSICAL_TYPES",
-    "StructureData",
-    "CartanFactors",
-    "IwasawaFactors",
-    "default_structure",
-    "validate_structure",
-    "algebra_membership",
-    "group_membership",
-    "algebra_project",
-    "random_group_element",
-    "cartan_decompose",
-    "cartan_involution",
-    "regular_eigenflag",
-    "iwasawa_decompose",
-    "iwasawa_algebra_split",
-    "irreducibility_check",
-]
-
 
 class _Relation(NamedTuple):
     """One defining relation: the structure matrix it reads (a StructureData

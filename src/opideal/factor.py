@@ -21,8 +21,6 @@ from .nest import Flag, Partition
 from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, cond2, dagger, frob,
                     is_hermitian, is_singular)
 
-__all__ = ["LdlFactors", "QbFactors", "ldl_nest", "qb_nest", "nilpotency_check"]
-
 
 @dataclass(frozen=True)
 class LdlFactors:
@@ -75,7 +73,11 @@ def _block_polar_phases(r: np.ndarray, bounds) -> np.ndarray:
     w = np.zeros_like(r)
     for i in range(len(bounds) - 1):
         lo, hi = bounds[i], bounds[i + 1]
-        u, _, vh = np.linalg.svd(r[lo:hi, lo:hi])
+        blk = r[lo:hi, lo:hi]
+        # LAPACK rescales a block far from 1 by a factor that is not a power of
+        # 2; brought near 1 by one that is, the block is the same at every scale
+        e = int(np.frexp(np.abs([blk.real, blk.imag]).max())[1])
+        u, _, vh = np.linalg.svd(np.ldexp(blk.real, -e) + 1j * np.ldexp(blk.imag, -e))
         w[lo:hi, lo:hi] = dagger(u @ vh)
     return w
 

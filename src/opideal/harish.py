@@ -21,17 +21,6 @@ import numpy as np
 from .errors import DomainError, InputError
 from .utils import as_matrix, cond2, is_singular
 
-__all__ = [
-    "BlockSplit",
-    "HCFactors",
-    "upper_unipotent",
-    "lower_unipotent",
-    "hc_factorize",
-    "hc_action",
-    "hc_cocycle",
-    "hc_domain_test",
-]
-
 
 @dataclass(frozen=True)
 class BlockSplit:

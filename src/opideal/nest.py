@@ -18,20 +18,6 @@ from .errors import InputError
 from .utils import (MAX_EXPERIMENT_DIM, MAX_EXPERIMENT_TRIALS, NEST_TOL, as_matrix,
                     crandn, dagger, frob, is_unitary, opnorm)
 
-__all__ = [
-    "Flag",
-    "Partition",
-    "project",
-    "truncate_diag",
-    "truncate_upper",
-    "truncate_lower",
-    "split",
-    "triangular_integral",
-    "refinement_identities_check",
-    "is_in_nest_algebra",
-    "truncation_norm_experiment",
-]
-
 
 class Flag:
     """An orthonormal flag: adapting unitary columns plus nested dimensions."""

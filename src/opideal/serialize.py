@@ -17,16 +17,6 @@ from . import amenable, classical, nest, symfunc
 from .errors import InputError
 from .utils import MAX_GROUP_ORDER, as_matrix
 
-__all__ = [
-    "complex_to_pairs", "array_to_obj",
-    "matrix_to_obj", "matrix_from_obj", "save_matrix", "load_matrix",
-    "flag_from_obj", "save_flag", "load_flag",
-    "sequence_from_csv", "load_sequence",
-    "group_from_obj", "load_group", "resolve_group",
-    "functional_from_obj", "load_functional",
-    "structure_from_obj", "load_structure",
-]
-
 
 def _is_int(val) -> bool:
     # JSON true/false load as bool, which Python counts as an int.

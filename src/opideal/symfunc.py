@@ -26,22 +26,6 @@ from .utils import MAX_PROBE_LEN, SINGULAR_CLIP, as_matrix
 
 _TINY = np.finfo(float).tiny    # smallest normal float
 
-__all__ = [
-    "NonincreasingSequence",
-    "SymNormFunc",
-    "BoydEstimate",
-    "DualNormResult",
-    "singular_values",
-    "phi_eval",
-    "phi_norm",
-    "dual_gauge",
-    "adjoint_phi_eval",
-    "dilate",
-    "contract",
-    "dilation_norm",
-    "contraction_norm",
-    "boyd_estimate",
-]
 
 class NonincreasingSequence:
     """A finite sequence of nonnegative reals sorted nonincreasing.

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 
-from . import CLASSICAL_TYPES  # re-exported: the package defines it
 from .errors import InputError
 
 

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opideal.cli import main
 from opideal.serialize import (load_matrix, matrix_from_obj, matrix_to_obj,
@@ -444,10 +450,11 @@ def test_non_hermitian_input_is_refused_at_every_scale(tmp_path, capsys, scale):
 
 
 # A fixed well-conditioned positive definite 4 x 4 matrix, a regular x0 with
-# a rotated eigenflag, an hc point and a rotated maximal flag
+# a rotated eigenflag, an hc point, and a rotated flag, maximal and with a 2 x 2 block
 _SCALE_B = crandn(np.random.default_rng(41), 4, 4)
 _SCALE_A = _SCALE_B @ _SCALE_B.conj().T / 4.0 + np.eye(4)
 _SCALE_FLAG = Flag(np.linalg.qr(crandn(np.random.default_rng(43), 4, 4))[0], range(1, 5))
+_SCALE_BLOCKED_FLAG = Flag(_SCALE_FLAG.basis, [1, 3, 4])
 _SCALE_X0 = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 1.0j, 0.0],
                       [0.0, -1.0j, 1.0, 0.5], [0.0, 0.0, 0.5, -1.0]])
 _SCALE_Z = np.array([[0.3, -0.2j], [0.1, 0.4]])
@@ -458,6 +465,7 @@ def _scaled_report(tmp_path, capsys, argv, k):
     save_matrix(tmp_path / "x0.json", _SCALE_X0)
     save_matrix(tmp_path / "z.json", _SCALE_Z)
     save_flag(tmp_path / "flag.json", _SCALE_FLAG)
+    save_flag(tmp_path / "blocked.json", _SCALE_BLOCKED_FLAG)
     argv = [a.format(d=tmp_path) for a in argv] + ["--matrix", str(tmp_path / "a.json")]
     code, out = run_cli(argv, capsys)
     return code, _strict_json(out)
@@ -472,8 +480,10 @@ def _scaled_report(tmp_path, capsys, argv, k):
     ["qr-nest", "--flag", "{d}/flag.json"],
     ["truncate", "--flag", "{d}/flag.json", "--cuts", "1,3,4"],
     ["integral", "--flag", "{d}/flag.json"],
+    ["qr-nest", "--flag", "{d}/blocked.json"],
 ], ids=["ldl-nest", "qr-nest", "iwasawa", "hc",
-        "ldl-nest-flag", "qr-nest-flag", "truncate-flag", "integral-flag"])
+        "ldl-nest-flag", "qr-nest-flag", "truncate-flag", "integral-flag",
+        "qr-nest-blocked-flag"])
 @pytest.mark.parametrize("k", [-600, 600])
 def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, k):
     """2^k A factors as A does, every residual is the same relative number,
@@ -487,6 +497,7 @@ def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, 
     assert res[relative] == res0[relative]
     assert res.get("nilpotency_index") == res0.get("nilpotency_index")
     assert res.get("nest_membership") == res0.get("nest_membership")
+    assert res.get("unitarity") == res0.get("unitarity")
     for absolute in ("adjoint_lower", "adjoint_diag"):
         if absolute in res0:
             assert res[absolute] == np.ldexp(res0[absolute], k)
@@ -495,6 +506,40 @@ def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, 
     if "condition_number" in res0:
         assert res["condition_number"] == pytest.approx(
             res0["condition_number"], rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def _report_in_process(d, argv, a):
+    save_matrix(d / "a.json", a)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--matrix", str(d / "a.json")])
+    assert code == 0, out.getvalue()
+    return _strict_json(out.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["qr-nest", "ldl-nest"]),
+       dims=st.sampled_from([(1, 2, 3, 4), (1, 3, 4)]), k=st.integers(-600, 600))
+def test_flag_factorizations_are_equivariant_under_power_of_two_scaling(command, dims, k):
+    """On a rotated flag, maximal or with a 2 x 2 block, 2^k A gives every
+    residual and verdict of A bit for bit, the same unitary or nilpotent
+    factor, and the other factor times 2^k."""
+    fixed, scaled = {"qr-nest": ("u", "b"), "ldl-nest": ("r", "d")}[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        save_flag(d / "flag.json", Flag(_SCALE_FLAG.basis, dims))
+        argv = [command, "--flag", str(d / "flag.json")]
+        base = _report_in_process(d, argv, _SCALE_A)
+        report = _report_in_process(d, argv, np.ldexp(1.0, k) * _SCALE_A)
+    res0, res = base["residuals"], report["residuals"]
+    # the condition number is LAPACK's singular value ratio, which is
+    # rescaled far from 1: it is held to the bound of the test above
+    c0, c = res0.pop("condition_number", 1.0), res.pop("condition_number", 1.0)
+    assert c == pytest.approx(c0, rel=4 * np.finfo(float).eps, abs=0.0)
+    assert res == res0
+    assert np.array_equal(matrix_from_obj(report[fixed]), matrix_from_obj(base[fixed]))
+    assert np.array_equal(matrix_from_obj(report[scaled]),
+                          np.ldexp(1.0, k) * matrix_from_obj(base[scaled]))
 
 
 @pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])

@@ -218,6 +218,57 @@ def test_every_module_is_registered_by_the_package_import():
         f"opideal.{m}" for m in MODULES if m not in ("__init__", "__main__"))
 
 
+# The seven layer modules: the package exports every public name of each.
+_LAYERS = ("amenable", "classical", "errors", "factor", "harish", "nest", "symfunc")
+
+# Reads every name the package exports, which runs every layer module, then
+# writes, as one JSON line, each layer's public classes and functions, the
+# names the package exports from it, and the package's other exported names.
+_PUBLIC_NAMES = r"""
+import json, sys, types
+import opideal
+
+
+def public(namespace, module):
+    return sorted(n for n, v in namespace.items() if not n.startswith("_")
+                  and isinstance(v, (type, types.FunctionType)) and v.__module__ == module)
+
+
+package = {n: getattr(opideal, n) for n in opideal.__all__}
+seen = {layer: {"defined": public(vars(sys.modules[f"opideal.{layer}"]), f"opideal.{layer}"),
+                "exported": public(package, f"opideal.{layer}")} for layer in sys.argv[1:]}
+seen["others"] = sorted(set(package).difference(*(s["exported"] for s in seen.values())))
+print(json.dumps(seen))
+"""
+
+
+def test_the_package_exports_every_public_name_of_each_layer():
+    proc = subprocess.run([sys.executable, "-c", _PUBLIC_NAMES, *_LAYERS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    for layer in _LAYERS:
+        assert seen[layer]["exported"] == seen[layer]["defined"], layer
+    assert seen["others"] == sorted(["CLASSICAL_TYPES", *_LAYERS, "utils"])
+    from opideal import check_group_order, split
+    assert (split.__module__, check_group_order.__module__) == ("opideal.nest",
+                                                                "opideal.amenable")
+
+
+def test_the_package_holds_the_only_list_of_public_names():
+    for path in PACKAGE.glob("*.py"):
+        stored = {node.id for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        assert ("__all__" in stored) == (path.stem == "__init__"), path.name
+
+
+def test_sources_parse_as_the_oldest_python_the_package_supports():
+    """pyproject.toml declares requires-python >= 3.10: no module may use
+    syntax that a later version added."""
+    for path in PACKAGE.glob("*.py"):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_star_import_binds_every_exported_name():
     import opideal
     namespace = {}
