@@ -153,16 +153,14 @@ def _cmd_ldl_nest(args):
 
 
 def _cmd_qr_nest(args):
-    import numpy as np
     g = serialize.load_matrix(args.matrix)
     flag = _flag_for(args, g.shape[0])
     factors = factor.qb_nest(g, flag)
-    eye = np.eye(g.shape[0])
     return {
         "u": factors.u, "b": factors.b,
         "residuals": {
             "reconstruction": _rel(utils.frob(factors.u @ factors.b - g), utils.frob(g)),
-            "unitarity": utils.frob(utils.dagger(factors.u) @ factors.u - eye),
+            "unitarity": utils.unitarity(factors.u),
             "nest_membership": nest.is_in_nest_algebra(
                 factors.b, flag, tol=utils.NEST_TOL * utils.frob(factors.b)),
             "condition_number": factors.condition_number,
@@ -180,13 +178,12 @@ def _cmd_cartan(args):
     factors = classical.cartan_decompose(g, args.type, structure)
     w, v = np.linalg.eigh(factors.x)
     expx = v @ np.diag(np.exp(w)) @ utils.dagger(v)
-    eye = np.eye(g.shape[0])
     return {
         "type": args.type,
         "k": factors.k, "x": factors.x,
         "residuals": {
             "reconstruction": _rel(utils.frob(factors.k @ expx - g), utils.frob(g)),
-            "k_unitarity": utils.frob(utils.dagger(factors.k) @ factors.k - eye),
+            "k_unitarity": utils.unitarity(factors.k),
             "k_in_group": classical.group_membership(
                 factors.k, args.type, structure, tol=utils.CARTAN_TOL),
             "x_in_algebra": classical.algebra_membership(
@@ -197,17 +194,15 @@ def _cmd_cartan(args):
 
 
 def _cmd_iwasawa(args):
-    import numpy as np
     g = serialize.load_matrix(args.matrix)
     x0 = serialize.load_matrix(args.x0) if args.x0 else None
     factors = classical.iwasawa_decompose(g, x0)
-    eye = np.eye(g.shape[0])
     return {
         "k": factors.k, "a": factors.a, "n": factors.n,
         "residuals": {
             "reconstruction": _rel(utils.frob(factors.k @ factors.a @ factors.n - g),
                                    utils.frob(g)),
-            "k_unitarity": utils.frob(utils.dagger(factors.k) @ factors.k - eye),
+            "k_unitarity": utils.unitarity(factors.k),
             "a_commutes_x0": utils.frob(factors.a @ factors.x0 - factors.x0 @ factors.a),
         },
     }

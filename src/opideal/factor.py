@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .nest import Flag, Partition
 from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, cond2, dagger, frob,
-                    is_hermitian, is_singular)
+                    is_hermitian, is_singular, pow2_scaled)
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,8 @@ def _block_polar_phases(r: np.ndarray, bounds) -> np.ndarray:
     w = np.zeros_like(r)
     for i in range(len(bounds) - 1):
         lo, hi = bounds[i], bounds[i + 1]
-        blk = r[lo:hi, lo:hi]
-        # LAPACK rescales a block far from 1 by a factor that is not a power of
-        # 2; brought near 1 by one that is, the block is the same at every scale
-        e = int(np.frexp(np.abs([blk.real, blk.imag]).max())[1])
-        u, _, vh = np.linalg.svd(np.ldexp(blk.real, -e) + 1j * np.ldexp(blk.imag, -e))
+        # brought near 1 by a power of 2, the block is the same at every scale
+        u, _, vh = np.linalg.svd(pow2_scaled(r[lo:hi, lo:hi])[0])
         w[lo:hi, lo:hi] = dagger(u @ vh)
     return w
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import symfunc
 from .errors import InputError
 from .utils import (MAX_EXPERIMENT_DIM, MAX_EXPERIMENT_TRIALS, NEST_TOL, as_matrix,
-                    crandn, dagger, frob, is_unitary, opnorm)
+                    crandn, dagger, frob, is_unitary, opnorm, unitarity)
 
 
 class Flag:
@@ -30,8 +30,7 @@ class Flag:
         # the identity is certified exactly; another basis pays an n x n product
         is_standard = bool(np.array_equal(basis, np.eye(n)))
         if not is_standard and not is_unitary(basis):
-            err = frob(dagger(basis) @ basis - np.eye(n))
-            raise InputError(f"flag basis is not unitary (residual {err:.2e})")
+            raise InputError(f"flag basis is not unitary (residual {unitarity(basis):.2e})")
         dims = tuple(int(d) for d in dims)
         if not dims or dims[0] < 1 or dims[-1] != n or any(
                 b <= a for a, b in zip(dims, dims[1:])):

@@ -11,7 +11,8 @@ eta, and estimates the dilation growth exponents (Boyd indices) by
 a finite scan over block dilations of the flat probes 1_1 ... 1_L.  The
 scan builds no probe: the gauge of 1_k follows from k, and the block
 averages of the probes are gauged one block of equal-length images at a
-time, with values bit-identical to gauging each image on its own.
+time by the one gauge evaluator, for which a sequence is a one-row block,
+so each value is bit-identical to gauging that image on its own.
 """
 
 from __future__ import annotations
@@ -128,40 +129,36 @@ class SymNormFunc:
         return f"kyfan:{self.k}"
 
 
-def _totals(phi: SymNormFunc, v: np.ndarray):
-    """The finite gauge's sum along the last axis, before any root: the k
-    leading entries for kyfan:k, the p-th powers for schatten:p.  Each row
-    of a 2-d block sums in the order of the 1-d call on that row."""
-    with np.errstate(over="ignore"):    # only entries above 1 overflow
-        if phi.kind == "kyfan":
-            return v[..., : phi.k].sum(axis=-1)    # inf only when the value is
-        p = phi.p
-        return (np.square(v) if p == 2.0 else np.power(v, p)).sum(axis=-1)
-
-
 def _root(phi: SymNormFunc, total) -> float:
     """The schatten:p value of a sum of p-th powers in the normal range."""
     return float(np.sqrt(total) if phi.p == 2.0 else total ** (1.0 / phi.p))
 
 
-def _gauge_raw(phi: SymNormFunc, v: np.ndarray) -> float:
-    """Evaluate the gauge on a raw nonnegative, nonincreasing array.
+def _gauge_raw(phi: SymNormFunc, v: np.ndarray) -> float | list:
+    """The gauge of each row of a raw nonnegative, nonincreasing block: a list
+    for a 2-d block, a float for a 1-d array, which is one row.
 
-    An ell^p sum of powers outside the normal floating-point range is
-    recomputed on v scaled by its largest entry, so entries far above 1
+    Each row sums over its own length, in the order of the 1-d call on that
+    row.  A row whose ell^p sum of powers leaves the normal floating-point
+    range is gauged again scaled by its largest entry, so entries far above 1
     do not overflow to inf and entries far below 1 do not underflow to 0.
     """
-    if v.size == 0:
-        return 0.0
-    if phi.kind == "schatten" and math.isinf(phi.p):
-        return float(v[0])
-    total = _totals(phi, v)
-    if phi.kind == "kyfan":
-        return float(total)
-    if _TINY <= total < math.inf:
-        return _root(phi, total)
-    top = float(v.max())
-    return top * _gauge_raw(phi, v / top) if top > 0.0 else 0.0
+    rows = np.atleast_2d(v)
+    if rows.shape[1] == 0:
+        gauges = [0.0] * rows.shape[0]
+    elif phi.kind == "kyfan":
+        with np.errstate(over="ignore"):    # inf only when the value is
+            gauges = [float(t) for t in rows[:, : phi.k].sum(axis=1)]
+    elif math.isinf(phi.p):
+        gauges = [float(x) for x in rows[:, 0]]
+    else:
+        with np.errstate(over="ignore"):    # only entries above 1 overflow
+            totals = (np.square(rows) if phi.p == 2.0 else np.power(rows, phi.p)).sum(axis=1)
+        gauges = [_root(phi, t) if _TINY <= t < math.inf
+                  else top * _gauge_raw(phi, rows[i] / top)
+                  if (top := float(rows[i].max())) > 0.0 else 0.0
+                  for i, t in enumerate(totals)]
+    return gauges if v.ndim == 2 else gauges[0]
 
 
 def _flat_gauge(phi: SymNormFunc, k: int) -> float:
@@ -172,24 +169,6 @@ def _flat_gauge(phi: SymNormFunc, k: int) -> float:
     if math.isinf(phi.p):
         return 1.0
     return _root(phi, np.float64(k))
-
-
-def _row_gauges(phi: SymNormFunc, block: np.ndarray) -> list:
-    """``_gauge_raw`` of every row of a block of contracted probes, bit for bit.
-
-    Each row sums over its own length, as the 1-d call does, and each root
-    is the scalar expression of ``_gauge_raw``.
-    """
-    if phi.kind == "schatten" and math.isinf(phi.p):
-        return [float(x) for x in block[:, 0]]
-    totals = _totals(phi, block)
-    if phi.kind == "kyfan":
-        return [float(t) for t in totals]
-    # Every entry is at most 1, so no sum overflows, and a row of two or more
-    # entries starts with a 1, so its sum is at least 1: only a single entry
-    # r/m can underflow, and _gauge_raw rescales it to [1.0] and returns r/m.
-    return [_root(phi, t) if t >= _TINY else float(row[-1])
-            for t, row in zip(totals, block)]
 
 
 def phi_eval(phi: SymNormFunc, xi) -> float:
@@ -335,7 +314,7 @@ def _contracted_gauges(phi: SymNormFunc, m: int, seq_len: int):
         rows = min(m, seq_len - start)
         block = np.ones((rows, start // m + 1))
         block[:, -1] = np.arange(1, rows + 1) / m
-        yield from _row_gauges(phi, block)
+        yield from _gauge_raw(phi, block)
 
 
 def _probe_norm(phi: SymNormFunc, image_gauges, m: int, seq_len: int) -> float:

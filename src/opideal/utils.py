@@ -29,19 +29,30 @@ def dagger(a: np.ndarray) -> np.ndarray:
 _NORM_TINY = math.sqrt(np.finfo(float).tiny)   # a norm below it may hide underflowed squares
 
 
+def pow2_scaled(a) -> tuple[np.ndarray, int]:
+    """(a / 2^e as a complex array, e) for the power of 2 just above every
+    |real and imaginary part|; e = 0 for a zero or empty a.  The scaled array
+    is the same for a and 2^k a, so LAPACK, which rescales far from 1 by a
+    factor that is not a power of 2, sees one input at every scale."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return a, 0
+    e = int(np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1])
+    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
+
+
 def frob(a) -> float:
     """Frobenius norm, exact under scaling by powers of 2: a norm whose squares
-    overflow or may underflow is taken of a / 2^e, 2^e above the largest |entry|,
-    unless a is exactly zero."""
+    overflow or may underflow is taken of ``pow2_scaled(a)``, unless a is
+    exactly zero."""
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(a))
     if _NORM_TINY <= r < math.inf:
         return r
-    a = np.asarray(a)
-    if r == 0.0 and not a.any():
+    if r == 0.0 and not np.any(a):
         return 0.0
-    e = int(np.frexp(np.abs([a.real, a.imag]).max())[1])
-    return float(np.ldexp(np.linalg.norm(np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)), e))
+    a, e = pow2_scaled(a)
+    return float(np.ldexp(np.linalg.norm(a), e))
 
 
 def opnorm(a) -> float:
@@ -92,10 +103,14 @@ def unitary_bound(n: int) -> float:
     return UNITARY_TOL * max(1.0, np.sqrt(n))
 
 
+def unitarity(u: np.ndarray) -> float:
+    """The unitarity residual ||u* u - 1||_F."""
+    return frob(dagger(u) @ u - np.eye(u.shape[0]))
+
+
 def is_unitary(u: np.ndarray) -> bool:
     """||u* u - 1||_F <= UNITARY_TOL max(1, sqrt(n))."""
-    n = u.shape[0]
-    return frob(dagger(u) @ u - np.eye(n)) <= unitary_bound(n)
+    return unitarity(u) <= unitary_bound(u.shape[0])
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -109,8 +124,9 @@ def is_singular(c: float) -> bool:
 
 
 def cond2(a) -> float:
-    """2-norm condition number; inf for numerically singular input."""
-    s = np.linalg.svd(a, compute_uv=False)
+    """2-norm condition number, exact under scaling by powers of 2; inf for
+    numerically singular input."""
+    s = np.linalg.svd(pow2_scaled(a)[0], compute_uv=False)
     if s.size == 0 or s[-1] == 0.0:
         return np.inf
     return float(s[0] / s[-1])

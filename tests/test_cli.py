@@ -503,9 +503,7 @@ def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, 
             assert res[absolute] == np.ldexp(res0[absolute], k)
     if "a_commutes_x0" in res0:
         assert res["a_commutes_x0"] == np.ldexp(res0["a_commutes_x0"], k)
-    if "condition_number" in res0:
-        assert res["condition_number"] == pytest.approx(
-            res0["condition_number"], rel=4 * np.finfo(float).eps, abs=0.0)
+    assert res.get("condition_number") == res0.get("condition_number")
 
 
 def _report_in_process(d, argv, a):
@@ -531,12 +529,7 @@ def test_flag_factorizations_are_equivariant_under_power_of_two_scaling(command,
         argv = [command, "--flag", str(d / "flag.json")]
         base = _report_in_process(d, argv, _SCALE_A)
         report = _report_in_process(d, argv, np.ldexp(1.0, k) * _SCALE_A)
-    res0, res = base["residuals"], report["residuals"]
-    # the condition number is LAPACK's singular value ratio, which is
-    # rescaled far from 1: it is held to the bound of the test above
-    c0, c = res0.pop("condition_number", 1.0), res.pop("condition_number", 1.0)
-    assert c == pytest.approx(c0, rel=4 * np.finfo(float).eps, abs=0.0)
-    assert res == res0
+    assert report["residuals"] == base["residuals"]
     assert np.array_equal(matrix_from_obj(report[fixed]), matrix_from_obj(base[fixed]))
     assert np.array_equal(matrix_from_obj(report[scaled]),
                           np.ldexp(1.0, k) * matrix_from_obj(base[scaled]))

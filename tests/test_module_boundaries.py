@@ -84,6 +84,56 @@ def test_guard_sees_each_form_of_access():
         "opideal.nest._truncate", "u._private"]
 
 
+def power_of_two_calls(source, filename="<module>"):
+    """(line, name) of every call the source makes to numpy's or math's
+    ``frexp`` or ``ldexp``, by module attribute or by imported name."""
+    tree = ast.parse(source, filename=filename)
+    modules, functions = set(), set()   # local names bound to numpy or math, to the functions
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name in ("numpy", "math"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "math"):
+            functions.update(alias.asname or alias.name for alias in node.names
+                             if alias.name in ("frexp", "ldexp"))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func) or ""
+            owner, _, attr = name.rpartition(".")
+            if name in functions or owner in modules and attr in ("frexp", "ldexp"):
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+def test_only_utils_rescales_by_powers_of_two():
+    """Every power-of-2 prescale is ``utils.pow2_scaled``: no other module
+    calls ``frexp`` or ``ldexp``."""
+    assert power_of_two_calls((PACKAGE / "utils.py").read_text())    # the guard can fire
+    stray = [(path.name,) + hit for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "utils"
+             for hit in power_of_two_calls(path.read_text(), str(path))]
+    assert stray == [], f"frexp/ldexp called outside utils: {stray}"
+
+
+def test_power_of_two_guard_sees_each_form_of_call():
+    source = "\n".join([
+        "import math",
+        "import numpy as np",
+        "import numpy as xp",
+        "from numpy import ldexp as scale",
+        "from math import frexp",
+        "np.frexp(x)",
+        "xp.ldexp(x, e)",
+        "math.frexp(t)",
+        "scale(x, -e)",
+        "frexp(t)",
+        "np.linalg.norm(x), math.exp(t), self.frexp(t), frexp, np.ldexp",
+    ])
+    assert [name for _, name in power_of_two_calls(source)] == [
+        "np.frexp", "xp.ldexp", "math.frexp", "scale", "frexp"]
+
+
 def test_cli_leaves_the_array_format_to_serialize():
     """Reports carry arrays; ``serialize`` alone decides their JSON form."""
     names = set()

@@ -551,13 +551,16 @@ def test_boyd_scan_gauges_lengths_not_arrays(monkeypatch):
 
 
 def test_underflowing_rows_fall_back_on_the_scaled_gauge(monkeypatch):
-    # (r/32)^1000 underflows for the single-entry images r/32 with r < 16;
-    # the 1-d gauge would rescale each to [1.0] and return r/32, so those
-    # 15 rows take r/32 itself and call no gauge
+    # (r/32)^1000 underflows for the single-entry images r/32 with r < 16, and
+    # for no longer image, which starts with a 1.  So the block of the 32
+    # single entries is gauged, then each of its 15 underflowing rows once
+    # more, rescaled to [1.0], then the blocks of 2, ..., 8 columns.
+    tiny = np.finfo(float).tiny
+    assert [r for r in range(1, 33) if (r / 32) ** 1000 < tiny] == list(range(1, 16))
     calls = _count_gauge_calls(monkeypatch)
     phi = SymNormFunc.schatten(1000)
     norm = contraction_norm(phi, 32, 256)
-    assert calls == []
+    assert calls == [32] + [1] * 15 + [32 * cols for cols in range(2, 9)]
     monkeypatch.undo()
     assert norm == flat_probe_norm(phi, _average, 32, 256)
 

@@ -10,8 +10,8 @@ import pytest
 
 from opideal import (Flag, InputError, StructureData, UnitaryRep, cyclic_group,
                      validate_structure)
-from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, frob, is_hermitian, is_singular,
-                           is_unitary)
+from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, cond2, crandn, dagger, frob,
+                           is_hermitian, is_singular, is_unitary)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
 
@@ -105,6 +105,20 @@ def test_frobenius_norm_of_a_zero_matrix_is_not_rescaled(monkeypatch):
     assert frob(np.array([[-0.0, 0.0j]])) == 0.0
     with pytest.raises(AssertionError, match="rescaled"):
         frob(np.array([[5e-324]]))
+
+
+def test_condition_number_is_exact_under_power_of_two_scaling():
+    # LAPACK rescales a matrix far from norm 1 by a factor that is not a power
+    # of 2; cond2 hands it the matrix brought near 1 by one that is
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        x = crandn(rng, 4, 4)
+        a = x @ dagger(x) + np.eye(4)
+        c = cond2(a)
+        for k in (-600, -300, 300, 600):
+            assert cond2(np.ldexp(1.0, k) * a) == c
+    # no largest entry to scale by, and no smallest singular value to divide by
+    assert cond2(np.zeros((3, 3))) == cond2(np.zeros((0, 0))) == np.inf
 
 
 def _module_constants(path):
