@@ -28,7 +28,7 @@ from . import CLASSICAL_TYPES, factor, nest
 from .errors import DomainError, InputError
 from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_matrix,
                     cond2, crandn, dagger, expm, frob, is_hermitian, is_singular,
-                    is_unitary, opnorm, unitary_bound)
+                    is_unitary, opnorm, svd, unitary_bound)
 
 
 class _Relation(NamedTuple):
@@ -238,11 +238,15 @@ def group_membership(g, typ: str, structure: StructureData | None = None,
     """Whether g is invertible and satisfies all group relations of the type:
     each residual within tol scaled by max(1, ||g||^power) sqrt(n)."""
     g = as_matrix(g, square=True)
-    structure = _resolve(typ, g, structure)
-    if is_singular(cond2(g)):
+    return _group_membership(g, typ, _resolve(typ, g, structure), tol, svd(g))
+
+
+def _group_membership(g, typ: str, structure: StructureData, tol: float, s) -> bool:
+    """group_membership of g given its singular values s, descending."""
+    if not s.size or s[-1] == 0.0 or is_singular(float(s[0]) / float(s[-1])):
         return False
     relations = _relations(typ, structure)
-    nrm = opnorm(g) if relations else 0.0
+    nrm = float(s[0])
     rootn = np.sqrt(g.shape[0])
     return all(_RELATIONS[name].residual(g, c)
                <= tol * max(1.0, nrm ** _RELATIONS[name].power) * rootn
@@ -281,24 +285,25 @@ def random_group_element(typ: str, structure: StructureData, seed: int = 0,
 
 @dataclass(frozen=True)
 class CartanFactors:
-    """Unitary group element k and Hermitian algebra element x, g = k exp(x)."""
+    """g = k p: k unitary in the group, x Hermitian in the algebra, p = exp(x)."""
 
     k: np.ndarray
     x: np.ndarray
+    p: np.ndarray
 
 
 def cartan_decompose(g, typ: str,
                      structure: StructureData | None = None) -> CartanFactors:
-    """Polar split g = k exp(x) with k unitary in the group and x Hermitian
-    in the algebra: with g* g = V diag(w) V*, x = V diag(log(w) / 2) V* and
-    k = g V diag(w^(-1/2)) V*."""
+    """Polar split g = k exp(x) from one SVD g = w diag(s) vh, whose s the group test
+    reads: k = w vh, x = vh* diag(log s) vh, p = vh* diag(s) vh; backward stable (N. J.
+    Higham, SIAM J. Sci. Stat. Comput. 7, 1986), where eigh(g* g) loses cond(g)^2 eps."""
     g = as_matrix(g, square=True)
-    if not group_membership(g, typ, structure, tol=CARTAN_TOL):
+    structure = _resolve(typ, g, structure)
+    w, s, vh = svd(g, vectors=True)
+    if not _group_membership(g, typ, structure, CARTAN_TOL, s):
         raise DomainError(f"matrix fails the {typ} group relations at tol {CARTAN_TOL:g}")
-    w, v = np.linalg.eigh(dagger(g) @ g)
-    vh = dagger(v)
-    return CartanFactors(k=g @ (v @ np.diag(w**-0.5) @ vh),
-                         x=v @ np.diag(0.5 * np.log(w)) @ vh)
+    v = dagger(vh)
+    return CartanFactors(k=w @ vh, x=(v * np.log(s)) @ vh, p=(v * s) @ vh)
 
 
 def cartan_involution(g) -> np.ndarray:
@@ -393,7 +398,7 @@ def irreducibility_check(generators) -> bool:
         for gen in (m, dagger(m)):
             rows.append(np.kron(gen.T, eye) - np.kron(eye, gen))
     system = np.vstack(rows)
-    s = np.linalg.svd(system, compute_uv=False)
+    s = svd(system)
     if s.size == 0 or s[0] == 0.0:
         return n * n == 1
     nullity = int(np.sum(s <= NULLITY_TOL * s[0])) + (n * n - s.size)

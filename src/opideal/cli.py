@@ -119,12 +119,13 @@ def _cmd_integral(args):
     flag = _flag_for(args, x.shape[0])
     low, d, u = nest.triangular_integral(flag, x)
     adj_low, adj_d, _ = nest.triangular_integral(flag, utils.dagger(x))
+    ref = utils.frob(x)
     return {
         "lower": low, "diag": d, "upper": u,
         "residuals": {
-            "sum": _rel(utils.frob(low + d + u - x), utils.frob(x)),
-            "adjoint_lower": utils.frob(adj_low - utils.dagger(u)),
-            "adjoint_diag": utils.frob(adj_d - utils.dagger(d)),
+            "sum": _rel(utils.frob(low + d + u - x), ref),
+            "adjoint_lower": _rel(utils.frob(adj_low - utils.dagger(u)), ref),
+            "adjoint_diag": _rel(utils.frob(adj_d - utils.dagger(d)), ref),
         },
     }
 
@@ -169,20 +170,17 @@ def _cmd_qr_nest(args):
 
 
 def _cmd_cartan(args):
-    import numpy as np
     g = serialize.load_matrix(args.matrix)
     split = _parse_split(args.split) if args.split else None
     structure = classical.default_structure(args.type, g.shape[0], split=split)
     if split is not None and structure.split is None:
         raise InputError(f"--split applies only to types with a signature; {args.type} has none")
     factors = classical.cartan_decompose(g, args.type, structure)
-    w, v = np.linalg.eigh(factors.x)
-    expx = v @ np.diag(np.exp(w)) @ utils.dagger(v)
     return {
         "type": args.type,
         "k": factors.k, "x": factors.x,
         "residuals": {
-            "reconstruction": _rel(utils.frob(factors.k @ expx - g), utils.frob(g)),
+            "reconstruction": _rel(utils.frob(factors.k @ factors.p - g), utils.frob(g)),
             "k_unitarity": utils.unitarity(factors.k),
             "k_in_group": classical.group_membership(
                 factors.k, args.type, structure, tol=utils.CARTAN_TOL),

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .nest import Flag, Partition
 from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, cond2, dagger, frob,
-                    is_hermitian, is_singular, pow2_scaled)
+                    is_hermitian, is_singular, svd)
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,8 @@ def _trailing_elimination(y: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray
 def _block_polar_phases(r: np.ndarray, bounds) -> np.ndarray:
     """Block-diagonal unitary w with Hermitian positive semidefinite w_i r_ii."""
     w = np.zeros_like(r)
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        # brought near 1 by a power of 2, the block is the same at every scale
-        u, _, vh = np.linalg.svd(pow2_scaled(r[lo:hi, lo:hi])[0])
+    for lo, hi in zip(bounds, bounds[1:]):
+        u, _, vh = svd(r[lo:hi, lo:hi], vectors=True)
         w[lo:hi, lo:hi] = dagger(u @ vh)
     return w
 

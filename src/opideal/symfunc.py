@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .utils import MAX_PROBE_LEN, SINGULAR_CLIP, as_matrix
+from .utils import MAX_PROBE_LEN, SINGULAR_CLIP, as_matrix, svd
 
 _TINY = np.finfo(float).tiny    # smallest normal float
 
@@ -109,19 +109,14 @@ class SymNormFunc:
         if len(parts) != 2:
             raise InputError(f"cannot parse gauge {text!r}; expected kind:parameter")
         kind, param = parts
-        if kind == "schatten":
-            try:
-                p = math.inf if param in ("inf", "infinity") else float(param)
-            except ValueError:
-                raise InputError(f"bad schatten parameter {param!r}") from None
-            return cls.schatten(p)
-        if kind == "kyfan":
-            try:
-                k = int(param)
-            except ValueError:
-                raise InputError(f"bad kyfan parameter {param!r}") from None
-            return cls.kyfan(k)
-        raise InputError(f"unknown gauge kind {kind!r}")
+        if kind not in ("schatten", "kyfan"):
+            raise InputError(f"unknown gauge kind {kind!r}")
+        try:
+            value = (int(param) if kind == "kyfan"
+                     else math.inf if param in ("inf", "infinity") else float(param))
+        except ValueError:
+            raise InputError(f"bad {kind} parameter {param!r}") from None
+        return cls.kyfan(value) if kind == "kyfan" else cls.schatten(value)
 
     def __str__(self) -> str:
         if self.kind == "schatten":
@@ -181,8 +176,7 @@ def singular_values(t) -> NonincreasingSequence:
 
     Values below ``SINGULAR_CLIP`` times the largest are clamped to zero.
     """
-    t = as_matrix(t)
-    s = np.linalg.svd(t, compute_uv=False)
+    s = svd(as_matrix(t))
     if s.size and s[0] > 0.0:
         s[s < SINGULAR_CLIP * s[0]] = 0.0
     return NonincreasingSequence(s)

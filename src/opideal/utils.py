@@ -55,12 +55,19 @@ def frob(a) -> float:
     return float(np.ldexp(np.linalg.norm(a), e))
 
 
+def svd(a, vectors: bool = False):
+    """The package's one dense SVD: a's singular values, descending, taken of
+    ``pow2_scaled(a)`` and multiplied back by 2^e, so 2^k times a's while in
+    range; with ``vectors``, (w, s, vh), a = w diag(s) vh, w and vh scale-free."""
+    a, e = pow2_scaled(a)
+    out = np.linalg.svd(a, compute_uv=vectors)
+    return (out[0], np.ldexp(out[1], e), out[2]) if vectors else np.ldexp(out, e)
+
+
 def opnorm(a) -> float:
-    """Spectral norm (largest singular value)."""
-    a = np.atleast_2d(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Spectral norm (largest singular value); 0 for an empty a."""
+    s = svd(np.atleast_2d(a))
+    return float(s[0]) if s.size else 0.0
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -125,11 +132,9 @@ def is_singular(c: float) -> bool:
 
 def cond2(a) -> float:
     """2-norm condition number, exact under scaling by powers of 2; inf for
-    numerically singular input."""
-    s = np.linalg.svd(pow2_scaled(a)[0], compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+    numerically singular input: a ratio of prescaled values (their prescale is 1)."""
+    s = svd(pow2_scaled(a)[0])
+    return float(s[0]) / float(s[-1]) if s.size and s[-1] != 0.0 else math.inf
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:

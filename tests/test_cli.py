@@ -418,8 +418,7 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
 
 @pytest.mark.parametrize("argv, entries", [
     (["cartan", "--type", "B"], [1e300, 1e300]),     # ||g||^2 overflows a float
-    (["cartan", "--type", "A"], [1e-301]),           # g* g underflows to a zero divisor
-], ids=["cartan-overflow", "cartan-underflow"])
+], ids=["cartan-overflow"])
 def test_computations_leaving_the_double_range_are_domain_errors(tmp_path, capsys, argv,
                                                                  entries):
     save_matrix(tmp_path / "d.json", np.diag(entries))
@@ -427,6 +426,31 @@ def test_computations_leaving_the_double_range_are_domain_errors(tmp_path, capsy
     assert code == 1
     assert _strict_json(out)["error"] == {
         "code": "domain-error", "message": "a computed value is not a finite double"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qr-nest"], "matrix is numerically singular (condition number inf)"),
+    (["iwasawa"], "matrix is numerically singular (condition number inf)"),
+    (["cartan", "--type", "A"], "matrix fails the A group relations at tol 1e-08"),
+], ids=["qr-nest", "iwasawa", "cartan"])
+def test_a_condition_number_past_the_double_range_is_singular(tmp_path, capsys, argv,
+                                                              message):
+    # sigma_1 / sigma_2 = 1e310 overflows to inf, a singular verdict, not an overflow
+    save_matrix(tmp_path / "d.json", np.diag([1.0, 1e-310]))
+    code, out = run_cli(argv + ["--matrix", str(tmp_path / "d.json")], capsys)
+    assert code == 1
+    assert _strict_json(out)["error"] == {"code": "domain-error", "message": message}
+
+
+def test_cartan_of_an_element_near_the_bottom_of_the_range(tmp_path, capsys):
+    # diag(1e-301) is in GL(1); its SVD is exact, where g* g would underflow
+    save_matrix(tmp_path / "d.json", np.diag([1e-301]))
+    code, out = run_cli(["cartan", "--type", "A", "--matrix", str(tmp_path / "d.json")],
+                        capsys)
+    assert code == 0
+    report = _strict_json(out)
+    assert np.array_equal(matrix_from_obj(report["k"]), np.eye(1))
+    assert np.array_equal(matrix_from_obj(report["x"]), np.log([[1e-301]]))
 
 
 def test_residual_norms_of_entries_past_the_square_root_of_the_range(tmp_path, capsys):
@@ -481,26 +505,38 @@ def _scaled_report(tmp_path, capsys, argv, k):
     ["truncate", "--flag", "{d}/flag.json", "--cuts", "1,3,4"],
     ["integral", "--flag", "{d}/flag.json"],
     ["qr-nest", "--flag", "{d}/blocked.json"],
+    ["svalues"],
+    ["norm", "--phi", "schatten:1"],
+    ["norm", "--phi", "kyfan:3"],
+    ["cartan", "--type", "A"],
 ], ids=["ldl-nest", "qr-nest", "iwasawa", "hc",
         "ldl-nest-flag", "qr-nest-flag", "truncate-flag", "integral-flag",
-        "qr-nest-blocked-flag"])
+        "qr-nest-blocked-flag", "svalues", "norm-schatten-1", "norm-kyfan-3", "cartan"])
 @pytest.mark.parametrize("k", [-600, 600])
 def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, k):
     """2^k A factors as A does, every residual is the same relative number,
-    and every verdict is the same."""
+    and every verdict is the same; its singular values and norms are 2^k
+    times A's, and its Cartan k is A's."""
     code0, base = _scaled_report(tmp_path, capsys, argv, 0)
     code, report = _scaled_report(tmp_path, capsys, argv, k)
     assert code == code0 == 0
+    if "residuals" not in base:
+        values = "norm" if "norm" in base else "singular_values"
+        assert np.array_equal(report[values], np.ldexp(base[values], k))
+        return
     res0, res = base["residuals"], report["residuals"]
     relative = "reconstruction" if "reconstruction" in res0 else "sum"
     assert res0[relative] > 0.0     # a rounding error to carry across scales
     assert res[relative] == res0[relative]
-    assert res.get("nilpotency_index") == res0.get("nilpotency_index")
-    assert res.get("nest_membership") == res0.get("nest_membership")
-    assert res.get("unitarity") == res0.get("unitarity")
-    for absolute in ("adjoint_lower", "adjoint_diag"):
-        if absolute in res0:
-            assert res[absolute] == np.ldexp(res0[absolute], k)
+    for same in ("nilpotency_index", "nest_membership", "unitarity", "adjoint_lower",
+                 "adjoint_diag", "k_unitarity", "k_in_group", "x_in_algebra"):
+        assert res.get(same) == res0.get(same)
+    if "x_hermitian" in res0:     # cartan: x = log p moves by k log 2, which rounds
+        x0, x = matrix_from_obj(base["x"]), matrix_from_obj(report["x"])
+        eps = np.finfo(float).eps
+        assert np.array_equal(matrix_from_obj(report["k"]), matrix_from_obj(base["k"]))
+        assert np.abs(x - x0 - k * np.log(2.0) * np.eye(4)).max() <= 16 * eps * abs(k)
+        assert res["x_hermitian"] <= 16 * eps * np.linalg.norm(x)
     if "a_commutes_x0" in res0:
         assert res["a_commutes_x0"] == np.ldexp(res0["a_commutes_x0"], k)
     assert res.get("condition_number") == res0.get("condition_number")

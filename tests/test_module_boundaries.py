@@ -84,36 +84,48 @@ def test_guard_sees_each_form_of_access():
         "opideal.nest._truncate", "u._private"]
 
 
+# The calls only utils makes: the power-of-2 prescale and the dense SVD run on it
+_UTILS_CALLS = {"numpy.frexp", "numpy.ldexp", "math.frexp", "math.ldexp", "numpy.linalg.svd"}
+
+
 def power_of_two_calls(source, filename="<module>"):
     """(line, name) of every call the source makes to numpy's or math's
-    ``frexp`` or ``ldexp``, by module attribute or by imported name."""
+    ``frexp`` or ``ldexp``, or to ``numpy.linalg.svd``, by module attribute
+    or by imported name."""
     tree = ast.parse(source, filename=filename)
-    modules, functions = set(), set()   # local names bound to numpy or math, to the functions
+    modules, functions = {}, set()   # local names bound to the modules, to the functions
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules.update(alias.asname or alias.name for alias in node.names
-                           if alias.name in ("numpy", "math"))
-        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "math"):
-            functions.update(alias.asname or alias.name for alias in node.names
-                             if alias.name in ("frexp", "ldexp"))
+            for alias in node.names:
+                if alias.name in ("numpy", "math", "numpy.linalg"):
+                    bound = alias.name if alias.asname else alias.name.split(".")[0]
+                    modules[alias.asname or bound] = bound
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if full == "numpy.linalg":
+                    modules[alias.asname or alias.name] = full
+                elif full in _UTILS_CALLS:
+                    functions.add(alias.asname or alias.name)
     hits = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = _dotted(node.func) or ""
-            owner, _, attr = name.rpartition(".")
-            if name in functions or owner in modules and attr in ("frexp", "ldexp"):
+            head, _, rest = name.partition(".")
+            if name in functions or head in modules and f"{modules[head]}.{rest}" in _UTILS_CALLS:
                 hits.append((node.lineno, name))
     return sorted(hits)
 
 
 def test_only_utils_rescales_by_powers_of_two():
-    """Every power-of-2 prescale is ``utils.pow2_scaled``: no other module
-    calls ``frexp`` or ``ldexp``."""
+    """Every power-of-2 prescale is ``utils.pow2_scaled``, and every dense
+    SVD is ``utils.svd`` of it: no other module calls ``frexp``, ``ldexp``
+    or ``numpy.linalg.svd``."""
     assert power_of_two_calls((PACKAGE / "utils.py").read_text())    # the guard can fire
     stray = [(path.name,) + hit for path in sorted(PACKAGE.glob("*.py"))
              if path.stem != "utils"
              for hit in power_of_two_calls(path.read_text(), str(path))]
-    assert stray == [], f"frexp/ldexp called outside utils: {stray}"
+    assert stray == [], f"frexp/ldexp/svd called outside utils: {stray}"
 
 
 def test_power_of_two_guard_sees_each_form_of_call():
@@ -121,17 +133,30 @@ def test_power_of_two_guard_sees_each_form_of_call():
         "import math",
         "import numpy as np",
         "import numpy as xp",
+        "import numpy.linalg",
+        "import numpy.linalg as la",
         "from numpy import ldexp as scale",
+        "from numpy import linalg",
+        "from numpy.linalg import svd as dense_svd",
         "from math import frexp",
+        "from .utils import svd",
         "np.frexp(x)",
         "xp.ldexp(x, e)",
         "math.frexp(t)",
         "scale(x, -e)",
         "frexp(t)",
+        "np.linalg.svd(x)",
+        "xp.linalg.svd(x, compute_uv=False)",
+        "numpy.linalg.svd(x)",
+        "la.svd(x)",
+        "linalg.svd(x)",
+        "dense_svd(x)",
         "np.linalg.norm(x), math.exp(t), self.frexp(t), frexp, np.ldexp",
+        "svd(x), la.eigh(x), np.linalg.svd, self.linalg.svd(x)",
     ])
     assert [name for _, name in power_of_two_calls(source)] == [
-        "np.frexp", "xp.ldexp", "math.frexp", "scale", "frexp"]
+        "np.frexp", "xp.ldexp", "math.frexp", "scale", "frexp", "np.linalg.svd",
+        "xp.linalg.svd", "numpy.linalg.svd", "la.svd", "linalg.svd", "dense_svd"]
 
 
 def test_cli_leaves_the_array_format_to_serialize():
