@@ -376,11 +376,7 @@ def iwasawa_algebra_split(x, x0=None):
     flag = regular_eigenflag(x0)
     low, dia, upp = nest.triangular_integral(flag, x)
     dherm = (dia + dagger(dia)) / 2.0
-    dskew = dia - dherm
-    xk = low - dagger(low) + dskew
-    xa = dherm
-    xn = upp + dagger(low)
-    return xk, xa, xn
+    return low - dagger(low) + (dia - dherm), dherm, upp + dagger(low)
 
 
 def irreducibility_check(generators) -> bool:

@@ -437,7 +437,8 @@ def _run(args) -> int:
     except (FloatingPointError, OverflowError):
         # finite input whose computation leaves the double range: a product
         # of entries near 1e300, or a square of entries near 1e-300 that
-        # underflows to a zero divisor; gauges that rescale opt out locally
+        # underflows to a zero divisor; a gauge divides by its largest entry
+        # first, and a gauge sum past the range is inf, its value, not an error
         text = _error("domain-error", "a computed value is not a finite double")
     except OSError as exc:
         text = _error("io-error", exc)

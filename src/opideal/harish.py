@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .utils import as_matrix, cond2, is_singular
+from .utils import as_matrix, cond2, is_singular, pow2_divided
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,9 @@ def _factorize(g: np.ndarray, split: BlockSplit, outside: str) -> HCFactors:
         raise DomainError(
             f"{outside}: lower-right block is numerically singular "
             f"(condition number {cd:.3e})")
-    zplus = np.linalg.solve(d.T, b.T).T        # B D^{-1}
-    zminus = np.linalg.solve(d, c)             # D^{-1} C
+    ds, bs, cs = pow2_divided(d, b, c)         # d near 1: no subnormal pivot
+    zplus = np.linalg.solve(ds.T, bs.T).T      # B D^{-1}
+    zminus = np.linalg.solve(ds, cs)           # D^{-1} C
     kappa = np.zeros_like(g)
     kappa[:p, :p] = a - zplus @ c
     kappa[p:, p:] = d

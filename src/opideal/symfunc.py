@@ -4,15 +4,17 @@ A gauge here is a permutation-invariant norm on finitely supported real
 sequences, normalised so that a single unit entry has gauge one.  Two
 families are provided: the ``schatten`` gauges (the ell^p length) and the
 ``kyfan`` gauges (sum of the k leading entries).  Evaluated on singular
-values they give the unitarily invariant matrix norms.  The module also
-gives the dual gauge in closed form together with an independent numeric
-lower bound, the pairing ratio of e1, 1_n and the Hoelder maximiser of
-eta, and estimates the dilation growth exponents (Boyd indices) by
-a finite scan over block dilations of the flat probes 1_1 ... 1_L.  The
-scan builds no probe: the gauge of 1_k follows from k, and the block
-averages of the probes are gauged one block of equal-length images at a
-time by the one gauge evaluator, for which a sequence is a one-row block,
-so each value is bit-identical to gauging that image on its own.
+values they give the unitarily invariant matrix norms.  One evaluator takes
+one path per gauge, schatten:p (1 < p < inf) divided by the largest entry,
+so no power leaves the float range and 2^k xi has 2^k times xi's gauge.
+The module also gives the dual gauge in closed form together with an
+independent numeric lower bound, the pairing ratio of e1, 1_n and the
+Hoelder maximiser of eta, and estimates the dilation growth exponents
+(Boyd indices) by a finite scan over block dilations of the flat probes
+1_1 ... 1_L.  The scan builds no probe: the gauge of 1_k follows from k,
+and the block averages of the probes are gauged one block of equal-length
+images at a time, a sequence being a one-row block, so each value is
+bit-identical to gauging that image on its own.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import numpy as np
 
 from .errors import InputError
 from .utils import MAX_PROBE_LEN, SINGULAR_CLIP, as_matrix, svd
-
-_TINY = np.finfo(float).tiny    # smallest normal float
 
 
 class NonincreasingSequence:
@@ -125,34 +125,31 @@ class SymNormFunc:
 
 
 def _root(phi: SymNormFunc, total) -> float:
-    """The schatten:p value of a sum of p-th powers in the normal range."""
+    """The schatten:p root of a sum of p-th powers."""
     return float(np.sqrt(total) if phi.p == 2.0 else total ** (1.0 / phi.p))
 
 
 def _gauge_raw(phi: SymNormFunc, v: np.ndarray) -> float | list:
     """The gauge of each row of a raw nonnegative, nonincreasing block: a list
-    for a 2-d block, a float for a 1-d array, which is one row.
-
-    Each row sums over its own length, in the order of the 1-d call on that
-    row.  A row whose ell^p sum of powers leaves the normal floating-point
-    range is gauged again scaled by its largest entry, so entries far above 1
-    do not overflow to inf and entries far below 1 do not underflow to 0.
-    """
+    for a 2-d block, a float for a 1-d array, which is one row.  Each row sums
+    over its own length, in the order of the 1-d call on that row: schatten:1
+    and kyfan:k its entries, which overflow only when the value does, and
+    schatten:p, 1 < p < inf, the p-th powers of the row divided by its largest
+    entry, whose root is multiplied back (Blue, ACM TOMS 4, 1978)."""
     rows = np.atleast_2d(v)
     if rows.shape[1] == 0:
         gauges = [0.0] * rows.shape[0]
-    elif phi.kind == "kyfan":
+    elif phi.kind == "kyfan" or phi.p == 1.0:     # schatten:1 sums every entry: k is None
         with np.errstate(over="ignore"):    # inf only when the value is
             gauges = [float(t) for t in rows[:, : phi.k].sum(axis=1)]
     elif math.isinf(phi.p):
         gauges = [float(x) for x in rows[:, 0]]
     else:
-        with np.errstate(over="ignore"):    # only entries above 1 overflow
-            totals = (np.square(rows) if phi.p == 2.0 else np.power(rows, phi.p)).sum(axis=1)
-        gauges = [_root(phi, t) if _TINY <= t < math.inf
-                  else top * _gauge_raw(phi, rows[i] / top)
-                  if (top := float(rows[i].max())) > 0.0 else 0.0
-                  for i, t in enumerate(totals)]
+        tops = rows.max(axis=1, keepdims=True)
+        with np.errstate(under="ignore"):    # a quotient or power below the range is 0
+            q = rows / np.where(tops > 0.0, tops, 1.0)
+            totals = (np.square(q) if phi.p == 2.0 else np.power(q, phi.p)).sum(axis=1)
+        gauges = [float(top) * _root(phi, t) for top, t in zip(tops[:, 0], totals)]
     return gauges if v.ndim == 2 else gauges[0]
 
 
@@ -193,11 +190,7 @@ def dual_gauge(phi: SymNormFunc) -> SymNormFunc | None:
     if phi.kind != "schatten":
         return None
     p = phi.p
-    if math.isinf(p):
-        return SymNormFunc.schatten(1.0)
-    if p == 1.0:
-        return SymNormFunc.schatten(math.inf)
-    return SymNormFunc.schatten(p / (p - 1.0))
+    return SymNormFunc.schatten(1.0 if math.isinf(p) else math.inf if p == 1.0 else p / (p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -209,16 +202,15 @@ class DualNormResult:
 
 
 def _pairing_ratio(phi: SymNormFunc, xi: np.ndarray, eta: np.ndarray) -> float:
-    """<xi, eta> / gauge(xi); if either overflows, recomputed on xi / max xi and
-    eta / max eta, since the ratio ignores the scale of xi and scales with eta."""
-    g = _gauge_raw(phi, xi)
-    if g <= 0.0:
+    """<xi, eta> / gauge(xi), taken on xi / max xi and eta / max eta and
+    multiplied by max eta: the ratio ignores the scale of xi and scales with
+    eta, and no pairing or gauge of the quotients leaves the float range."""
+    size, top = float(xi.max()), float(eta.max())
+    if size <= 0.0:
         return 0.0
-    ratio = float(np.dot(xi, eta)) / g
-    if math.isfinite(g) and math.isfinite(ratio):
-        return ratio
-    top = float(eta.max())
-    return top * _pairing_ratio(phi, xi / xi.max(), eta / top)
+    with np.errstate(under="ignore"):    # a quotient below the range is 0
+        xi, eta = xi / size, eta / top
+    return top * (float(np.dot(xi, eta)) / _gauge_raw(phi, xi))
 
 
 def _dual_candidates(eta: np.ndarray):
@@ -227,12 +219,9 @@ def _dual_candidates(eta: np.ndarray):
     They hold the maximiser of schatten:1, schatten:inf and every kyfan:k;
     no other flat prefix does better.
     """
-    n = eta.size
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    yield e1
-    if n > 1:
-        yield np.ones(n)
+    yield np.eye(1, eta.size)[0]
+    if eta.size > 1:
+        yield np.ones(eta.size)
 
 
 def adjoint_phi_eval(phi: SymNormFunc, eta) -> DualNormResult:
@@ -246,26 +235,22 @@ def adjoint_phi_eval(phi: SymNormFunc, eta) -> DualNormResult:
     vectors, so a lower bound computed through the gauge alone, and it is
     deterministic.  The exact value is returned alongside: ell^q
     (1/p + 1/q = 1) for schatten:p and max(eta_1, sum / k) for kyfan:k
-    (Bhatia, Matrix Analysis, ch. IV).
+    (Bhatia, Matrix Analysis, ch. IV), taken as eta_1 max(1, sum(eta / eta_1) / k).
+    For 2^k eta both are exactly 2^k times eta's.
     """
-    eta = _as_sequence(eta)
-    if eta.values.size == 0 or eta.values[0] == 0.0:
+    ev = _as_sequence(eta).values
+    if ev.size == 0 or ev[0] == 0.0:
         raise InputError("eta must be nonzero")
-    ev = eta.values
-    # a pairing or kyfan sum that overflows is recomputed on scaled entries;
-    # an entry of the Hoelder maximiser below the float range is a zero
-    with np.errstate(over="ignore", under="ignore"):
+    # an entry of eta / eta_1 or of the Hoelder maximiser below the float range is 0
+    with np.errstate(under="ignore"):
         best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev))
         if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
             xi = np.power(ev / ev[0], 1.0 / (phi.p - 1.0))
             best = max(best, _pairing_ratio(phi, xi, ev))
-
         if phi.kind == "kyfan":
-            closed = max(float(ev[0]), float(ev.sum()) / phi.k)
-            if closed == math.inf:
-                closed = float(ev[0]) * max(1.0, float((ev / ev[0]).sum()) / phi.k)
+            closed = float(ev[0]) * max(1.0, float((ev / ev[0]).sum()) / phi.k)
         else:
-            closed = phi_eval(dual_gauge(phi), eta)
+            closed = _gauge_raw(dual_gauge(phi), ev)
     return DualNormResult(estimate=best, closed_form=closed)
 
 

@@ -33,12 +33,28 @@ def pow2_scaled(a) -> tuple[np.ndarray, int]:
     """(a / 2^e as a complex array, e) for the power of 2 just above every
     |real and imaginary part|; e = 0 for a zero or empty a.  The scaled array
     is the same for a and 2^k a, so LAPACK, which rescales far from 1 by a
-    factor that is not a power of 2, sees one input at every scale."""
+    factor that is not a power of 2, sees one input at every scale.  A zero
+    part is signed as in re + 1j * im: +0 if imaginary, and if real, -0 only
+    beside an imaginary part with its sign bit set."""
     a = np.asarray(a)
     if a.size == 0:
         return a, 0
-    e = int(np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1])
-    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)   # re, im, re, im, ...
+    e = int(np.frexp(np.abs(parts).max())[1])
+    out = np.ldexp(parts, -e)
+    if not out.all():
+        out[..., ::2] += 0.0 * out[..., 1::2]
+        out[..., 1::2] += 0.0
+    return out.view(complex), e
+
+
+def pow2_divided(d, *others) -> tuple:
+    """d and each of ``others`` divided, part by part, by d's 2^e from
+    ``pow2_scaled``: a linear system in d divided through solves to the same
+    bits while in range, and a d far from singular has no subnormal pivot."""
+    e = pow2_scaled(d)[1]
+    return tuple(np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), -e).view(complex)
+                 for x in (d, *others))
 
 
 def frob(a) -> float:

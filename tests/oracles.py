@@ -16,9 +16,13 @@ where the command line encodes each one as the report is written, and the
 fractional-linear formula for the Harish-Chandra action where the package
 reads it off a block factorization, and the powers of an integer matrix in
 Python integers where the package reads a nilpotency index off the block
-pattern.
+pattern, and the schatten gauges in 60-digit decimal arithmetic where the
+package divides by the largest entry in floating point, and the power-of-2
+prescale taken part by part where the package scales the interleaved parts
+in one call.
 """
 
+import decimal
 import itertools
 import json
 import math
@@ -367,6 +371,24 @@ def full_family_contraction_norm(phi, m, seq_len, seed=0):
     family, its random draws from (seed, m, 1)."""
     return _full_family_probe_norm(phi, _average, m, seq_len,
                                    np.random.default_rng([seed, m, 1]))
+
+
+def schatten_gauge_decimal(p, v):
+    """The schatten:p gauge of v, (sum v_i^p)^(1/p), in 60-digit decimal
+    arithmetic from the exact values of v and p, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dp = decimal.Decimal(float(p))
+        total = sum(decimal.Decimal(float(x)) ** dp for x in v)
+        return float(total ** (1 / dp))
+
+
+def pow2_scaled_by_parts(a):
+    """(a / 2^e, e) for the power of 2 just above every |real and imaginary
+    part|, summed as ldexp(re, -e) + 1j * ldexp(im, -e)."""
+    a = np.asarray(a)
+    e = int(np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1])
+    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
 
 
 def _test_sequences(seq_len):

@@ -442,6 +442,20 @@ def test_a_condition_number_past_the_double_range_is_singular(tmp_path, capsys, 
     assert _strict_json(out)["error"] == {"code": "domain-error", "message": message}
 
 
+def test_hc_of_a_subnormal_lower_right_block(tmp_path, capsys):
+    # d = [[1e-310]] has condition number 1; it is solved divided by its power
+    # of 2, so no reciprocal of the subnormal pivot overflows
+    save_matrix(tmp_path / "d.json", np.diag([1.0, 1e-310]))
+    code, out = run_cli(["hc", "--split", "1,1", "--matrix", str(tmp_path / "d.json")],
+                        capsys)
+    assert code == 0
+    rep = _strict_json(out)
+    assert np.array_equal(matrix_from_obj(rep["zplus"]), np.zeros((1, 1)))
+    assert np.array_equal(matrix_from_obj(rep["zminus"]), np.zeros((1, 1)))
+    assert np.array_equal(matrix_from_obj(rep["kappa"]), np.diag([1.0, 1e-310]))
+    assert rep["residuals"]["reconstruction"] == 0.0
+
+
 def test_cartan_of_an_element_near_the_bottom_of_the_range(tmp_path, capsys):
     # diag(1e-301) is in GL(1); its SVD is exact, where g* g would underflow
     save_matrix(tmp_path / "d.json", np.diag([1e-301]))
@@ -507,11 +521,15 @@ def _scaled_report(tmp_path, capsys, argv, k):
     ["qr-nest", "--flag", "{d}/blocked.json"],
     ["svalues"],
     ["norm", "--phi", "schatten:1"],
+    ["norm", "--phi", "schatten:1.5"],
+    ["norm", "--phi", "schatten:2"],
+    ["norm", "--phi", "schatten:3"],
     ["norm", "--phi", "kyfan:3"],
     ["cartan", "--type", "A"],
 ], ids=["ldl-nest", "qr-nest", "iwasawa", "hc",
         "ldl-nest-flag", "qr-nest-flag", "truncate-flag", "integral-flag",
-        "qr-nest-blocked-flag", "svalues", "norm-schatten-1", "norm-kyfan-3", "cartan"])
+        "qr-nest-blocked-flag", "svalues", "norm-schatten-1", "norm-schatten-1.5",
+        "norm-schatten-2", "norm-schatten-3", "norm-kyfan-3", "cartan"])
 @pytest.mark.parametrize("k", [-600, 600])
 def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, k):
     """2^k A factors as A does, every residual is the same relative number,
@@ -540,6 +558,25 @@ def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, 
     if "a_commutes_x0" in res0:
         assert res["a_commutes_x0"] == np.ldexp(res0["a_commutes_x0"], k)
     assert res.get("condition_number") == res0.get("condition_number")
+
+
+_SCALE_ETA = np.sort(np.random.default_rng(44).exponential(size=9))[::-1]
+
+
+@pytest.mark.parametrize("phi", ["schatten:1.5", "schatten:3", "kyfan:5"])
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_dual_norms_are_exact_under_power_of_two_scaling(tmp_path, capsys, phi, k):
+    """The dual estimate and closed form of 2^k eta are 2^k times eta's."""
+    reports = []
+    for scale in (0, k):
+        path = tmp_path / f"eta{scale}.csv"
+        path.write_text("".join(f"{float(v)!r}\n" for v in np.ldexp(_SCALE_ETA, scale)))
+        code, out = run_cli(["dualnorm", "--phi", phi, "--sequence", str(path)], capsys)
+        assert code == 0
+        reports.append(_strict_json(out))
+    base, report = reports
+    for key in ("estimate", "closed_form"):
+        assert report[key] == np.ldexp(base[key], k)
 
 
 def _report_in_process(d, argv, a):

@@ -11,7 +11,9 @@ import pytest
 from opideal import (Flag, InputError, StructureData, UnitaryRep, cyclic_group,
                      validate_structure)
 from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, cond2, crandn, dagger, frob,
-                           is_hermitian, is_singular, is_unitary)
+                           is_hermitian, is_singular, is_unitary, pow2_divided,
+                           pow2_scaled)
+from oracles import pow2_scaled_by_parts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
 
@@ -105,6 +107,52 @@ def test_frobenius_norm_of_a_zero_matrix_is_not_rescaled(monkeypatch):
     assert frob(np.array([[-0.0, 0.0j]])) == 0.0
     with pytest.raises(AssertionError, match="rescaled"):
         frob(np.array([[5e-324]]))
+
+
+def _same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and np.array_equal(x.view(float), y.view(float))
+            and np.array_equal(np.signbit(x.view(float)), np.signbit(y.view(float))))
+
+
+def _times_pow2(a, k):
+    """a times 2^k part by part, each signed zero kept."""
+    return (np.ascontiguousarray(a).view(float) * np.ldexp(1.0, k)).view(complex)
+
+
+def test_power_of_two_prescale_equals_the_part_by_part_sum():
+    # every bit of every part, signed zeros included, on random matrices with
+    # zero and -0.0 parts scaled by 2^k across the double range; real,
+    # transposed and strided input too
+    rng = np.random.default_rng(84)
+    for _ in range(1000):
+        shape = tuple(int(s) for s in rng.integers(1, 6, 2))
+        x = crandn(rng, *shape)
+        x.real[rng.random(shape) < 0.2] = -0.0
+        x.imag[rng.random(shape) < 0.2] = -0.0
+        x[rng.random(shape) < 0.1] = 0.0
+        with np.errstate(under="ignore", over="ignore"):
+            x = _times_pow2(x, int(rng.integers(-1074, 1024)))
+        if not np.all(np.isfinite(x)):
+            continue
+        for a in (x, x.real, x.T, x[:, ::2]):
+            (got, e), (want, e0) = pow2_scaled(a), pow2_scaled_by_parts(a)
+            assert e == e0 and _same_bits(got, want)
+
+
+def test_a_system_divided_by_its_power_of_two_keeps_every_bit():
+    # d, b and the solution of d z = b, all times 2^(k - e) exactly, with
+    # the -0.0 parts of d and b kept; a subnormal d is brought to [1/2, 1)
+    rng = np.random.default_rng(85)
+    d, b = crandn(rng, 3, 3), crandn(rng, 3, 2)
+    d[0, 1], b[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    e = pow2_scaled(d)[1]
+    for k in (-1000, 0, 700):
+        ds, bs = pow2_divided(_times_pow2(d, k), _times_pow2(b, k))
+        assert _same_bits(ds, _times_pow2(d, -e)) and _same_bits(bs, _times_pow2(b, -e))
+        assert _same_bits(np.linalg.solve(ds, bs), np.linalg.solve(d, b))
+    assert pow2_divided(np.array([[1e-310]]))[0][0, 0] == np.ldexp(1e-310, 1029)
 
 
 def test_condition_number_is_exact_under_power_of_two_scaling():
