@@ -28,7 +28,7 @@ from . import CLASSICAL_TYPES, factor, nest
 from .errors import DomainError, InputError
 from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_matrix,
                     cond2, crandn, dagger, expm, frob, is_hermitian, is_singular,
-                    is_unitary, opnorm, svd, unitary_bound)
+                    is_unitary, opnorm, pow2_divided, solve, svd, unitary_bound)
 
 
 class _Relation(NamedTuple):
@@ -312,7 +312,7 @@ def cartan_involution(g) -> np.ndarray:
     c = cond2(g)
     if is_singular(c):
         raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
-    return dagger(np.linalg.inv(g))
+    return dagger(solve(g, np.eye(g.shape[0])))
 
 
 def regular_eigenflag(x0) -> nest.Flag:
@@ -354,15 +354,17 @@ def iwasawa_decompose(g, x0=None) -> IwasawaFactors:
 
     In the eigenflag's basis g = u b is the QR decomposition with positive
     diagonal, and b = a n splits b into its diagonal and unit upper
-    triangular parts; k, a and n are those three rotated back.  For the
-    default x0 = diag(n, ..., 1) the eigenflag is the standard one.
+    triangular parts, n from b divided by the diagonal's power of 2 first
+    (a subnormal pivot divides); k, a and n are those three rotated back.
+    For the default x0 = diag(n, ..., 1) the eigenflag is the standard one.
     """
     g = as_matrix(g, square=True, name="g")
     x0 = _default_regular(g.shape[0]) if x0 is None else as_matrix(x0, square=True, name="x0")
     flag = regular_eigenflag(x0)
     qb = factor.qb_nest(flag.to_adapted(g), nest.Flag.standard(flag.n))
     diag = np.real(np.diag(qb.b))
-    nt = qb.b / diag[:, None]
+    ds, bs = pow2_divided(diag, qb.b)
+    nt = bs / ds[:, None]
     np.fill_diagonal(nt, 1.0)
     return IwasawaFactors(k=flag.from_adapted(qb.u), a=flag.from_adapted(np.diag(diag + 0j)),
                           n=flag.from_adapted(nt), x0=x0)

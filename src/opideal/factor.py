@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .nest import Flag, Partition
 from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, cond2, dagger, frob,
-                    is_hermitian, is_singular, svd)
+                    is_hermitian, is_singular, solve, svd)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _trailing_elimination(y: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray
         d[lo:hi, lo:hi] = blk
         if lo:
             # column block of r above the pivot: R = S[:lo, lo:hi] blk^{-1}
-            rcol = dagger(np.linalg.solve(blk, dagger(s[:lo, lo:hi])))
+            rcol = dagger(solve(blk, dagger(s[:lo, lo:hi])))
             r[:lo, lo:hi] = rcol
             s[:lo, :lo] -= rcol @ s[lo:hi, :lo]
     return r, d

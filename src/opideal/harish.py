@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .utils import as_matrix, cond2, is_singular, pow2_divided
+from .utils import as_matrix, cond2, is_singular, solve
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def lower_unipotent(z, split: BlockSplit) -> np.ndarray:
 
 
 def _factorize(g: np.ndarray, split: BlockSplit, outside: str) -> HCFactors:
-    """The factorization of a validated g; ``outside`` names the set that a
-    singular lower-right block leaves."""
+    """The factorization of a validated g, solved by ``utils.solve`` at d's
+    power of 2; ``outside`` names the set that a singular d leaves."""
     p = split.n_plus
     a, b, c, d = g[:p, :p], g[:p, p:], g[p:, :p], g[p:, p:]
     cd = cond2(d)
@@ -88,9 +88,8 @@ def _factorize(g: np.ndarray, split: BlockSplit, outside: str) -> HCFactors:
         raise DomainError(
             f"{outside}: lower-right block is numerically singular "
             f"(condition number {cd:.3e})")
-    ds, bs, cs = pow2_divided(d, b, c)         # d near 1: no subnormal pivot
-    zplus = np.linalg.solve(ds.T, bs.T).T      # B D^{-1}
-    zminus = np.linalg.solve(ds, cs)           # D^{-1} C
+    zplus = solve(d.T, b.T).T      # B D^{-1}
+    zminus = solve(d, c)           # D^{-1} C
     kappa = np.zeros_like(g)
     kappa[:p, :p] = a - zplus @ c
     kappa[p:, p:] = d

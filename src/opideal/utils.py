@@ -26,9 +26,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-_NORM_TINY = math.sqrt(np.finfo(float).tiny)   # a norm below it may hide underflowed squares
-
-
 def pow2_scaled(a) -> tuple[np.ndarray, int]:
     """(a / 2^e as a complex array, e) for the power of 2 just above every
     |real and imaginary part|; e = 0 for a zero or empty a.  The scaled array
@@ -50,23 +47,23 @@ def pow2_scaled(a) -> tuple[np.ndarray, int]:
 
 def pow2_divided(d, *others) -> tuple:
     """d and each of ``others`` divided, part by part, by d's 2^e from
-    ``pow2_scaled``: a linear system in d divided through solves to the same
-    bits while in range, and a d far from singular has no subnormal pivot."""
+    ``pow2_scaled``, for a quotient that must not see d's scale: d near 1
+    has no subnormal pivot, and dividing both sides keeps every bit."""
     e = pow2_scaled(d)[1]
     return tuple(np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), -e).view(complex)
                  for x in (d, *others))
 
 
+def solve(d, b) -> np.ndarray:
+    """The package's one dense solve: x with d x = b, from the system divided
+    by d's power of 2 (``pow2_divided``), so the same bits at every scale
+    while in range, and a subnormal d far from singular solves."""
+    return np.linalg.solve(*pow2_divided(d, b))
+
+
 def frob(a) -> float:
-    """Frobenius norm, exact under scaling by powers of 2: a norm whose squares
-    overflow or may underflow is taken of ``pow2_scaled(a)``, unless a is
-    exactly zero."""
-    with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(a))
-    if _NORM_TINY <= r < math.inf:
-        return r
-    if r == 0.0 and not np.any(a):
-        return 0.0
+    """Frobenius norm of ``pow2_scaled(a)`` times 2^e: no square overflows, one
+    that underflows is below rounding, and 2^k a has 2^k times a's norm in range."""
     a, e = pow2_scaled(a)
     return float(np.ldexp(np.linalg.norm(a), e))
 

@@ -16,10 +16,10 @@ where the command line encodes each one as the report is written, and the
 fractional-linear formula for the Harish-Chandra action where the package
 reads it off a block factorization, and the powers of an integer matrix in
 Python integers where the package reads a nilpotency index off the block
-pattern, and the schatten gauges in 60-digit decimal arithmetic where the
-package divides by the largest entry in floating point, and the power-of-2
-prescale taken part by part where the package scales the interleaved parts
-in one call.
+pattern, and the schatten gauges and the Frobenius norm in 60-digit decimal
+arithmetic where the package divides by the largest entry or its power of 2
+in floating point, and the power-of-2 prescale taken part by part where the
+package scales the interleaved parts in one call.
 """
 
 import decimal
@@ -381,6 +381,15 @@ def schatten_gauge_decimal(p, v):
         dp = decimal.Decimal(float(p))
         total = sum(decimal.Decimal(float(x)) ** dp for x in v)
         return float(total ** (1 / dp))
+
+
+def frobenius_norm_decimal(a):
+    """sqrt(sum of the squares of a's real and imaginary parts) in 60-digit
+    decimal arithmetic from their exact values, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        parts = np.ascontiguousarray(a, dtype=complex).view(float).ravel()
+        return float(sum(decimal.Decimal(float(x)) ** 2 for x in parts).sqrt())
 
 
 def pow2_scaled_by_parts(a):

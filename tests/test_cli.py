@@ -456,6 +456,22 @@ def test_hc_of_a_subnormal_lower_right_block(tmp_path, capsys):
     assert rep["residuals"]["reconstruction"] == 0.0
 
 
+@pytest.mark.parametrize("command, factors, unipotent", [
+    ("ldl-nest", ("r", "d"), "r"), ("iwasawa", ("k", "a", "n"), "n")],
+    ids=["ldl-nest", "iwasawa"])
+def test_factorizations_of_a_subnormal_matrix(tmp_path, capsys, command, factors, unipotent):
+    # 1e-310 [[2, 1], [1, 2]] has condition number 3; each pivot divides
+    # the rows it eliminates after both are divided by its power of 2
+    save_matrix(tmp_path / "a.json", 1e-310 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    code, out = run_cli([command, "--matrix", str(tmp_path / "a.json")], capsys)
+    assert code == 0
+    rep = _strict_json(out)
+    assert all(np.isfinite(matrix_from_obj(rep[name])).all() for name in factors)
+    off = matrix_from_obj(rep[unipotent])[0, 1]   # 1/2 of ldl-nest's r, 4/5 of iwasawa's n
+    assert abs(off - {"ldl-nest": 0.5, "iwasawa": 0.8}[command]) <= 1e-12
+    assert rep["residuals"]["reconstruction"] <= 1e-12
+
+
 def test_cartan_of_an_element_near_the_bottom_of_the_range(tmp_path, capsys):
     # diag(1e-301) is in GL(1); its SVD is exact, where g* g would underflow
     save_matrix(tmp_path / "d.json", np.diag([1e-301]))
@@ -496,6 +512,14 @@ _SCALE_BLOCKED_FLAG = Flag(_SCALE_FLAG.basis, [1, 3, 4])
 _SCALE_X0 = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 1.0j, 0.0],
                       [0.0, -1.0j, 1.0, 0.5], [0.0, 0.0, 0.5, -1.0]])
 _SCALE_Z = np.array([[0.3, -0.2j], [0.1, 0.4]])
+
+
+def _assert_cartan_x_moves_by_k_log_2(base, report, k):
+    # x = log p of 2^k g is x + k log 2, up to the rounding of the logarithm
+    x0, x = matrix_from_obj(base["x"]), matrix_from_obj(report["x"])
+    eps = np.finfo(float).eps
+    assert np.abs(x - x0 - k * np.log(2.0) * np.eye(4)).max() <= 16 * eps * abs(k)
+    assert report["residuals"]["x_hermitian"] <= 16 * eps * np.linalg.norm(x)
 
 
 def _scaled_report(tmp_path, capsys, argv, k):
@@ -549,12 +573,9 @@ def test_residuals_are_exact_under_power_of_two_scaling(tmp_path, capsys, argv, 
     for same in ("nilpotency_index", "nest_membership", "unitarity", "adjoint_lower",
                  "adjoint_diag", "k_unitarity", "k_in_group", "x_in_algebra"):
         assert res.get(same) == res0.get(same)
-    if "x_hermitian" in res0:     # cartan: x = log p moves by k log 2, which rounds
-        x0, x = matrix_from_obj(base["x"]), matrix_from_obj(report["x"])
-        eps = np.finfo(float).eps
+    if "x_hermitian" in res0:
         assert np.array_equal(matrix_from_obj(report["k"]), matrix_from_obj(base["k"]))
-        assert np.abs(x - x0 - k * np.log(2.0) * np.eye(4)).max() <= 16 * eps * abs(k)
-        assert res["x_hermitian"] <= 16 * eps * np.linalg.norm(x)
+        _assert_cartan_x_moves_by_k_log_2(base, report, k)
     if "a_commutes_x0" in res0:
         assert res["a_commutes_x0"] == np.ldexp(res0["a_commutes_x0"], k)
     assert res.get("condition_number") == res0.get("condition_number")
@@ -588,24 +609,50 @@ def _report_in_process(d, argv, a):
     return _strict_json(out.getvalue())
 
 
-@settings(max_examples=60, deadline=None)
-@given(command=st.sampled_from(["qr-nest", "ldl-nest"]),
+# options, factors the same at every scale, factors times 2^k
+_EQUIVARIANT = {
+    "qr-nest": (["--flag", "{d}/flag.json"], ("u",), ("b",)),
+    "ldl-nest": (["--flag", "{d}/flag.json"], ("r",), ("d",)),
+    "truncate": (["--flag", "{d}/flag.json"], (), ("lower", "diag", "upper")),
+    "integral": (["--flag", "{d}/flag.json"], (), ("lower", "diag", "upper")),
+    "iwasawa": (["--x0", "{d}/x0.json"], ("k", "n"), ("a",)),
+    "hc": (["--split", "2,2", "--z", "{d}/z.json"], ("zplus", "zminus", "action"),
+           ("kappa", "cocycle")),
+    "cartan": (["--type", "A"], ("k",), ()),
+}
+
+
+@settings(max_examples=140, deadline=None)
+@given(command=st.sampled_from(sorted(_EQUIVARIANT)),
        dims=st.sampled_from([(1, 2, 3, 4), (1, 3, 4)]), k=st.integers(-600, 600))
 def test_flag_factorizations_are_equivariant_under_power_of_two_scaling(command, dims, k):
-    """On a rotated flag, maximal or with a 2 x 2 block, 2^k A gives every
-    residual and verdict of A bit for bit, the same unitary or nilpotent
-    factor, and the other factor times 2^k."""
-    fixed, scaled = {"qr-nest": ("u", "b"), "ldl-nest": ("r", "d")}[command]
+    """Each matrix subcommand, on a rotated flag (maximal or with a 2 x 2
+    block) where it takes one: 2^k A gives every residual and verdict of A
+    bit for bit, the same unitary, nilpotent, unipotent or coordinate factor,
+    and every other factor times 2^k.  An absolute residual scales with A,
+    and cartan's x = log p moves by k log 2, which rounds."""
+    options, fixed, scaled = _EQUIVARIANT[command]
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         save_flag(d / "flag.json", Flag(_SCALE_FLAG.basis, dims))
-        argv = [command, "--flag", str(d / "flag.json")]
+        save_matrix(d / "x0.json", _SCALE_X0)
+        save_matrix(d / "z.json", _SCALE_Z)
+        argv = [command] + [a.format(d=d) for a in options]
         base = _report_in_process(d, argv, _SCALE_A)
         report = _report_in_process(d, argv, np.ldexp(1.0, k) * _SCALE_A)
-    assert report["residuals"] == base["residuals"]
-    assert np.array_equal(matrix_from_obj(report[fixed]), matrix_from_obj(base[fixed]))
-    assert np.array_equal(matrix_from_obj(report[scaled]),
-                          np.ldexp(1.0, k) * matrix_from_obj(base[scaled]))
+    res0, res = dict(base["residuals"]), dict(report["residuals"])
+    if "a_commutes_x0" in res0:
+        assert res.pop("a_commutes_x0") == np.ldexp(res0.pop("a_commutes_x0"), k)
+    if "x_hermitian" in res0:
+        _assert_cartan_x_moves_by_k_log_2(base, report, k)
+        del res0["x_hermitian"], res["x_hermitian"]
+    assert res == res0
+    assert report.get("domain") == base.get("domain")
+    for name in fixed:
+        assert np.array_equal(matrix_from_obj(report[name]), matrix_from_obj(base[name]))
+    for name in scaled:
+        assert np.array_equal(matrix_from_obj(report[name]),
+                              np.ldexp(1.0, k) * matrix_from_obj(base[name]))
 
 
 @pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])

@@ -84,14 +84,16 @@ def test_guard_sees_each_form_of_access():
         "opideal.nest._truncate", "u._private"]
 
 
-# The calls only utils makes: the power-of-2 prescale and the dense SVD run on it
-_UTILS_CALLS = {"numpy.frexp", "numpy.ldexp", "math.frexp", "math.ldexp", "numpy.linalg.svd"}
+# The calls only utils makes: the power-of-2 prescale, and the dense SVD and
+# solve run on it
+_UTILS_CALLS = {"numpy.frexp", "numpy.ldexp", "math.frexp", "math.ldexp", "numpy.linalg.svd",
+                "numpy.linalg.solve", "numpy.linalg.inv"}
 
 
 def power_of_two_calls(source, filename="<module>"):
     """(line, name) of every call the source makes to numpy's or math's
-    ``frexp`` or ``ldexp``, or to ``numpy.linalg.svd``, by module attribute
-    or by imported name."""
+    ``frexp`` or ``ldexp``, or to ``numpy.linalg``'s ``svd``, ``solve`` or
+    ``inv``, by module attribute or by imported name."""
     tree = ast.parse(source, filename=filename)
     modules, functions = {}, set()   # local names bound to the modules, to the functions
     for node in ast.walk(tree):
@@ -118,14 +120,15 @@ def power_of_two_calls(source, filename="<module>"):
 
 
 def test_only_utils_rescales_by_powers_of_two():
-    """Every power-of-2 prescale is ``utils.pow2_scaled``, and every dense
-    SVD is ``utils.svd`` of it: no other module calls ``frexp``, ``ldexp``
-    or ``numpy.linalg.svd``."""
+    """Every power-of-2 prescale is ``utils.pow2_scaled``, every dense SVD is
+    ``utils.svd`` of it, and every dense solve or inverse is ``utils.solve``
+    of the system divided by it: no other module calls ``frexp``, ``ldexp``
+    or ``numpy.linalg``'s ``svd``, ``solve`` or ``inv``."""
     assert power_of_two_calls((PACKAGE / "utils.py").read_text())    # the guard can fire
     stray = [(path.name,) + hit for path in sorted(PACKAGE.glob("*.py"))
              if path.stem != "utils"
              for hit in power_of_two_calls(path.read_text(), str(path))]
-    assert stray == [], f"frexp/ldexp/svd called outside utils: {stray}"
+    assert stray == [], f"frexp/ldexp/svd/solve/inv called outside utils: {stray}"
 
 
 def test_power_of_two_guard_sees_each_form_of_call():
@@ -138,8 +141,9 @@ def test_power_of_two_guard_sees_each_form_of_call():
         "from numpy import ldexp as scale",
         "from numpy import linalg",
         "from numpy.linalg import svd as dense_svd",
+        "from numpy.linalg import inv",
         "from math import frexp",
-        "from .utils import svd",
+        "from .utils import solve, svd",
         "np.frexp(x)",
         "xp.ldexp(x, e)",
         "math.frexp(t)",
@@ -151,12 +155,17 @@ def test_power_of_two_guard_sees_each_form_of_call():
         "la.svd(x)",
         "linalg.svd(x)",
         "dense_svd(x)",
+        "np.linalg.solve(x)",
+        "inv(x)",
+        "la.solve(x)",
         "np.linalg.norm(x), math.exp(t), self.frexp(t), frexp, np.ldexp",
         "svd(x), la.eigh(x), np.linalg.svd, self.linalg.svd(x)",
+        "solve(d, b), np.linalg.inv, la.lstsq(x, b), self.solve(x)",
     ])
     assert [name for _, name in power_of_two_calls(source)] == [
         "np.frexp", "xp.ldexp", "math.frexp", "scale", "frexp", "np.linalg.svd",
-        "xp.linalg.svd", "numpy.linalg.svd", "la.svd", "linalg.svd", "dense_svd"]
+        "xp.linalg.svd", "numpy.linalg.svd", "la.svd", "linalg.svd", "dense_svd",
+        "np.linalg.solve", "inv", "la.solve"]
 
 
 def test_cli_leaves_the_array_format_to_serialize():

@@ -12,8 +12,8 @@ from opideal import (Flag, InputError, StructureData, UnitaryRep, cyclic_group,
                      validate_structure)
 from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, cond2, crandn, dagger, frob,
                            is_hermitian, is_singular, is_unitary, pow2_divided,
-                           pow2_scaled)
-from oracles import pow2_scaled_by_parts
+                           pow2_scaled, solve)
+from oracles import frobenius_norm_decimal, pow2_scaled_by_parts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
 
@@ -96,17 +96,26 @@ def test_frobenius_norm_is_exact_under_power_of_two_scaling():
             frob(np.full((2, 2), 1e308))
 
 
-def test_frobenius_norm_of_a_zero_matrix_is_not_rescaled(monkeypatch):
-    # only a nonzero matrix whose squares may underflow takes the rescale path
-    def rescale(*args):
-        raise AssertionError("rescaled")
-
-    monkeypatch.setattr(np, "frexp", rescale)
+def test_frobenius_norm_of_zero_and_subnormal_matrices():
     for shape in ((256, 256), (3, 3), (0, 2)):
         assert frob(np.zeros(shape, complex)) == 0.0
     assert frob(np.array([[-0.0, 0.0j]])) == 0.0
-    with pytest.raises(AssertionError, match="rescaled"):
-        frob(np.array([[5e-324]]))
+    assert frob(np.array([[5e-324]])) == 5e-324
+
+
+def test_frobenius_norm_at_the_edge_of_the_square_root_of_the_range():
+    # norms near 1e-152, so the squares of parts e^-12 below the largest are
+    # subnormal: still exact under 2^k scaling, and within 2 ulp of the
+    # exact norm rounded once
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        a = crandn(rng, 4, 4) * np.exp(rng.uniform(-12.0, 0.0, (4, 4)))
+        a *= 1e-152 / np.linalg.norm(a)
+        r = frob(a)
+        for k in (-20, 300, 600):
+            assert frob(_times_pow2(a, k)) == np.ldexp(r, k)
+        exact = frobenius_norm_decimal(a)
+        assert abs(r - exact) <= 2 * np.spacing(exact)
 
 
 def _same_bits(x, y):
@@ -143,7 +152,8 @@ def test_power_of_two_prescale_equals_the_part_by_part_sum():
 
 def test_a_system_divided_by_its_power_of_two_keeps_every_bit():
     # d, b and the solution of d z = b, all times 2^(k - e) exactly, with
-    # the -0.0 parts of d and b kept; a subnormal d is brought to [1/2, 1)
+    # the -0.0 parts of d and b kept, and utils.solve's bits at every k; a
+    # subnormal d is brought to [1/2, 1)
     rng = np.random.default_rng(85)
     d, b = crandn(rng, 3, 3), crandn(rng, 3, 2)
     d[0, 1], b[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
@@ -152,6 +162,7 @@ def test_a_system_divided_by_its_power_of_two_keeps_every_bit():
         ds, bs = pow2_divided(_times_pow2(d, k), _times_pow2(b, k))
         assert _same_bits(ds, _times_pow2(d, -e)) and _same_bits(bs, _times_pow2(b, -e))
         assert _same_bits(np.linalg.solve(ds, bs), np.linalg.solve(d, b))
+        assert _same_bits(solve(_times_pow2(d, k), _times_pow2(b, k)), np.linalg.solve(d, b))
     assert pow2_divided(np.array([[1e-310]]))[0][0, 0] == np.ldexp(1e-310, 1029)
 
 
