@@ -307,12 +307,17 @@ def cartan_decompose(g, typ: str,
 
 
 def cartan_involution(g) -> np.ndarray:
-    """The involution g -> (g*)^{-1}; fixes exactly the unitaries."""
+    """The involution g -> (g*)^{-1}; fixes exactly the unitaries.  An
+    inverse past the double range, as of a subnormal g, is a DomainError."""
     g = as_matrix(g, square=True)
     c = cond2(g)
     if is_singular(c):
         raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
-    return dagger(solve(g, np.eye(g.shape[0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = solve(g, np.eye(g.shape[0]))
+    if not np.isfinite(inverse).all():
+        raise DomainError("the inverse of the matrix lies outside the double range")
+    return dagger(inverse)
 
 
 def regular_eigenflag(x0) -> nest.Flag:

@@ -9,13 +9,14 @@ one nonnegative real per line.  Reports encode their arrays by ``array_to_obj``.
 from __future__ import annotations
 
 import json
+import os
 from itertools import chain
 
 import numpy as np
 
 from . import amenable, classical, nest, symfunc
 from .errors import InputError
-from .utils import MAX_GROUP_ORDER, as_matrix
+from .utils import MAX_GROUP_ORDER, MAX_INPUT_BYTES, as_matrix
 
 
 def _is_int(val) -> bool:
@@ -32,8 +33,17 @@ def _require(obj: dict, field: str, kind=None):
     return val
 
 
+def _open_input(path):
+    """The input file at path, opened only once its size on disk is within
+    MAX_INPUT_BYTES, so an oversized file is refused before any byte is read."""
+    size = os.stat(path).st_size
+    if size > MAX_INPUT_BYTES:
+        raise InputError(f"{path} is {size} bytes, over the input limit of {MAX_INPUT_BYTES}")
+    return open(path)
+
+
 def _load_json(path):
-    with open(path) as fh:
+    with _open_input(path) as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
@@ -126,7 +136,7 @@ def sequence_from_csv(text: str) -> symfunc.NonincreasingSequence:
 
 
 def load_sequence(path) -> symfunc.NonincreasingSequence:
-    with open(path) as fh:
+    with _open_input(path) as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -28,30 +28,24 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def pow2_scaled(a) -> tuple[np.ndarray, int]:
     """(a / 2^e as a complex array, e) for the power of 2 just above every
-    |real and imaginary part|; e = 0 for a zero or empty a.  The scaled array
-    is the same for a and 2^k a, so LAPACK, which rescales far from 1 by a
-    factor that is not a power of 2, sees one input at every scale.  A zero
-    part is signed as in re + 1j * im: +0 if imaginary, and if real, -0 only
-    beside an imaginary part with its sign bit set."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return a, 0
+    |real and imaginary part|; e = 0 for a zero or empty a.  Each part is
+    multiplied by 2^-e on its own, which rounds nothing while it stays
+    normal, and each zero keeps its sign.  The scaled array is the same for
+    a and 2^k a, so LAPACK, which rescales far from 1 by a factor that is
+    not a power of 2, sees one input at every scale."""
     parts = np.ascontiguousarray(a, dtype=complex).view(float)   # re, im, re, im, ...
-    e = int(np.frexp(np.abs(parts).max())[1])
-    out = np.ldexp(parts, -e)
-    if not out.all():
-        out[..., ::2] += 0.0 * out[..., 1::2]
-        out[..., 1::2] += 0.0
-    return out.view(complex), e
+    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    return np.ldexp(parts, -e).view(complex), e
 
 
 def pow2_divided(d, *others) -> tuple:
-    """d and each of ``others`` divided, part by part, by d's 2^e from
-    ``pow2_scaled``, for a quotient that must not see d's scale: d near 1
-    has no subnormal pivot, and dividing both sides keeps every bit."""
-    e = pow2_scaled(d)[1]
-    return tuple(np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), -e).view(complex)
-                 for x in (d, *others))
+    """d and each of ``others`` divided, part by part and each zero keeping
+    its sign, by d's 2^e from ``pow2_scaled``, for a quotient that must not
+    see d's scale: d near 1 has no subnormal pivot, and dividing both sides
+    keeps every bit."""
+    d, e = pow2_scaled(d)
+    return (d, *(np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), -e).view(complex)
+                 for x in others))
 
 
 def solve(d, b) -> np.ndarray:
@@ -113,6 +107,7 @@ NULLITY_TOL = 1e-9       # commutant singular values relative to the largest
 GNS_TOL = 1e-10          # a mean given to the GNS construction: probability and invariance
 ZERO_TOL = 1e-12         # mean weights: a weight, imaginary or negative part, or sum - 1 is 0
 MAX_GROUP_ORDER = 1024   # largest finite group built; its table holds |G|^2 indices
+MAX_INPUT_BYTES = 1 << 24   # largest JSON or CSV input file; peak memory is ~10x its size
 MAX_PROBE_LEN = 512      # longest flat probe of the Boyd scan (boyd --cap), so m_max too
 MAX_EXPERIMENT_DIM = 256   # largest experiment size n; each trial builds an n x n matrix
 MAX_EXPERIMENT_TRIALS = 1000  # most experiment trials per size

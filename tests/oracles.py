@@ -394,7 +394,9 @@ def frobenius_norm_decimal(a):
 
 def pow2_scaled_by_parts(a):
     """(a / 2^e, e) for the power of 2 just above every |real and imaginary
-    part|, summed as ldexp(re, -e) + 1j * ldexp(im, -e)."""
+    part|, summed as ldexp(re, -e) + 1j * ldexp(im, -e): the earlier
+    prescale, whose sum signs a zero part +0, save a -0 real part beside an
+    imaginary part with its sign bit set."""
     a = np.asarray(a)
     e = int(np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1])
     return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e

@@ -324,6 +324,16 @@ def test_cartan_involution_clauses():
         cartan_involution(np.zeros((3, 3)))
 
 
+def test_cartan_involution_of_a_matrix_whose_inverse_is_past_the_range():
+    # 1e-310 [[2, 1], [1, 2]] has condition number 3, and its inverse, about
+    # 6.7e309, is no double: a DomainError, with no warning on the way
+    g = np.array([[2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(DomainError, match="inverse of the matrix lies outside the double range"):
+        cartan_involution(1e-310 * g)
+    inverse = cartan_involution(1e-300 * g)     # about 6.7e299: in range
+    assert frob(inverse * 1e-300 - np.linalg.inv(g)) <= 1e-15
+
+
 def _positive_qr(g):
     q, r = np.linalg.qr(g)
     ph = np.diag(r) / np.abs(np.diag(r))

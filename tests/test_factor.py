@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opideal import (DomainError, Flag, InputError, LdlFactors, Partition,
-                     is_in_nest_algebra, ldl_nest, nilpotency_check, qb_nest,
-                     truncate_upper)
+from opideal import (BlockSplit, DomainError, Flag, InputError, LdlFactors, Partition,
+                     hc_factorize, is_in_nest_algebra, ldl_nest, nilpotency_check, qb_nest,
+                     truncate_diag, truncate_lower, truncate_upper)
 from opideal.utils import crandn, dagger, frob
 from oracles import (cholesky_udu_oracle, gram_schmidt_qr, nilpotency_index_exact,
                      random_flag)
@@ -181,6 +181,55 @@ def test_qb_consistent_with_ldl_of_gram_matrix():
     f = qb_nest(g, flag)
     ldl = ldl_nest(dagger(g) @ g, Partition.maximal(flag))
     assert frob(dagger(f.b) @ f.b - reconstruct(ldl)) <= 1e-9 * frob(dagger(g) @ g)
+
+
+def _assert_linear_remainder(remainder):
+    # remainder(eps) is the relative first-order error, O(eps): pin its
+    # slope, so that each halving of eps halves it to within 1 %
+    errors = [remainder(eps) for eps in (1e-3, 5e-4, 2.5e-4)]
+    assert errors[0] <= 1e-2
+    assert all(1.98 <= a / b <= 2.02 for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_factorizations_near_1_are_the_triangular_truncation(real):
+    # near 1 each factorization is the triangular truncation (Gohberg & Krein,
+    # Volterra Operators, 1970, Ch. IV): 1 + eps h = (1 + r) d (1 + r*) with
+    # r = eps U(h) + O(eps^2), and 1 + eps x = u b with
+    # b = 1 + eps (U(x) + L(x)* + Herm D(x)) + O(eps^2)
+    n, rng = 16, np.random.default_rng(91)
+    draw = (lambda *shape: rng.standard_normal(shape)) if real else (
+        lambda *shape: crandn(rng, *shape))
+    eye = np.eye(n)
+    for dims in (range(1, n + 1), (3, 8, 11, n)):
+        for basis in (eye, np.linalg.qr(draw(n, n))[0]):     # standard and rotated
+            flag = Flag(basis, dims)
+            x = draw(n, n)
+            h = (x + dagger(x)) / 2.0
+            for part in (Partition.maximal(flag), Partition(flag, flag.dims[1::2] + (n,))):
+                r1 = truncate_upper(part, h)
+                _assert_linear_remainder(
+                    lambda eps: frob(ldl_nest(eye + eps * h, part).r / eps - r1) / frob(r1))
+            part = Partition.maximal(flag)
+            d = truncate_diag(part, x)
+            b1 = truncate_upper(part, x) + dagger(truncate_lower(part, x)) + (d + dagger(d)) / 2
+            _assert_linear_remainder(
+                lambda eps: frob((qb_nest(eye + eps * x, flag).b - eye) / eps - b1) / frob(b1))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_hc_near_1_reads_the_off_diagonal_blocks(real):
+    # 1 + eps [[A, B], [C, D]] has zplus = eps B (1 + eps D)^-1 = eps B + O(eps^2)
+    # and zminus = eps C + O(eps^2)
+    n, rng = 16, np.random.default_rng(92)
+    for p in (1, 7, 15):
+        x = rng.standard_normal((n, n)) if real else crandn(rng, n, n)
+
+        def remainder(eps):
+            f = hc_factorize(np.eye(n) + eps * x, BlockSplit(p, n - p))
+            return np.hypot(frob(f.zplus / eps - x[:p, p:]),
+                            frob(f.zminus / eps - x[p:, :p])) / frob(x)
+        _assert_linear_remainder(remainder)
 
 
 def test_nilpotency_examples():

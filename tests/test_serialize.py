@@ -4,6 +4,7 @@ encoded all at once."""
 
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from opideal import Flag, InputError, cyclic_group, nest, serialize
 from opideal.cli import _render, build_parser, main
 from opideal.serialize import (functional_from_obj, matrix_from_obj, matrix_to_obj,
                                save_flag, save_matrix)
-from opideal.utils import crandn
+from opideal.utils import MAX_INPUT_BYTES, crandn
 
 from oracles import complex_pairs_by_asarray, eager_report_json
 
@@ -135,6 +136,21 @@ def test_non_finite_array_reaching_the_encoder_is_an_input_error(
     assert err == {"code": "input-error", "message": "matrix must have finite entries"}
     with pytest.raises(InputError, match="finite entries"):
         _render({"a": np.full((2, 2), bad)})
+
+
+@pytest.mark.parametrize("argv", [
+    ["svalues", "--matrix"], ["dualnorm", "--phi", "schatten:2", "--sequence"],
+    ["mean", "--group"]], ids=["matrix", "sequence", "group"])
+def test_an_input_file_over_the_byte_cap_is_refused_before_it_is_read(tmp_path, capsys, argv):
+    # a sparse file one byte over the cap: read, its zero bytes would be no
+    # JSON or CSV, so the message shows that the size alone refused it
+    path = tmp_path / "big"
+    with open(path, "wb"):
+        os.truncate(path, MAX_INPUT_BYTES + 1)
+    assert main([*argv, str(path)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": "input-error", "message": (
+        f"{path} is {MAX_INPUT_BYTES + 1} bytes, over the input limit of {MAX_INPUT_BYTES}")}
 
 
 def test_render_refuses_what_is_not_an_array_or_json():

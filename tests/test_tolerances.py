@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opideal import (Flag, InputError, StructureData, UnitaryRep, cyclic_group,
-                     validate_structure)
+from opideal import (DomainError, Flag, InputError, StructureData, UnitaryRep,
+                     cartan_decompose, cyclic_group, qb_nest, utils, validate_structure)
 from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, cond2, crandn, dagger, frob,
                            is_hermitian, is_singular, is_unitary, pow2_divided,
-                           pow2_scaled, solve)
+                           pow2_scaled, solve, svd)
 from oracles import frobenius_norm_decimal, pow2_scaled_by_parts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
@@ -126,28 +126,76 @@ def _same_bits(x, y):
 
 
 def _times_pow2(a, k):
-    """a times 2^k part by part, each signed zero kept."""
-    return (np.ascontiguousarray(a).view(float) * np.ldexp(1.0, k)).view(complex)
+    """a times 2^k part by part, each signed zero kept: one rounded product,
+    as 2^k is a double for k in [-1074, 1023], and above that two exact ones."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    if k > 1023:
+        parts, k = parts * np.ldexp(1.0, 1023), k - 1023
+    return (parts * np.ldexp(1.0, k)).view(complex)
 
 
-def test_power_of_two_prescale_equals_the_part_by_part_sum():
-    # every bit of every part, signed zeros included, on random matrices with
-    # zero and -0.0 parts scaled by 2^k across the double range; real,
-    # transposed and strided input too
-    rng = np.random.default_rng(84)
-    for _ in range(1000):
-        shape = tuple(int(s) for s in rng.integers(1, 6, 2))
+def _signed_zero_matrices(rng, count, square=False):
+    """Random complex matrices with 0.0 entries and -0.0 parts, scaled by 2^k
+    across the double range, up to 5 x 5."""
+    for _ in range(count):
+        n = rng.integers(1, 6, 1 if square else 2)
+        shape = (int(n[0]),) * 2 if square else tuple(int(s) for s in n)
         x = crandn(rng, *shape)
         x.real[rng.random(shape) < 0.2] = -0.0
         x.imag[rng.random(shape) < 0.2] = -0.0
         x[rng.random(shape) < 0.1] = 0.0
         with np.errstate(under="ignore", over="ignore"):
             x = _times_pow2(x, int(rng.integers(-1074, 1024)))
-        if not np.all(np.isfinite(x)):
-            continue
+        if np.all(np.isfinite(x)):
+            yield x
+
+
+def test_power_of_two_prescale_scales_each_part_and_keeps_its_sign():
+    # every bit of every part, signed zeros included: each part times 2^-e
+    # on its own, e the exponent of the largest part; real, transposed and
+    # strided input too
+    rng = np.random.default_rng(84)
+    for x in _signed_zero_matrices(rng, 1000):
         for a in (x, x.real, x.T, x[:, ::2]):
-            (got, e), (want, e0) = pow2_scaled(a), pow2_scaled_by_parts(a)
-            assert e == e0 and _same_bits(got, want)
+            (got, e), e0 = pow2_scaled(a), pow2_scaled_by_parts(a)[1]
+            assert e == e0 and _same_bits(got, _times_pow2(a, -e))
+
+
+def _prescaled_results(x, b):
+    """(results that a zero's sign cannot move, results that LAPACK may round
+    otherwise when it reads one, singular vectors) of x's prescaled routes."""
+    w, s, vh = svd(x, vectors=True)
+    try:
+        qb, cf = qb_nest(x, Flag.standard(x.shape[0])), cartan_decompose(x, "A")
+    except DomainError as exc:   # singular: both prescales must say so alike
+        return [np.float64(frob(x)), str(exc)], [s, np.float64(cond2(x))], [w, vh]
+    return ([np.float64(frob(x)), solve(x, b), qb.u, qb.b],
+            [s, np.float64(cond2(x)), np.float64(qb.condition_number), cf.k, cf.x, cf.p],
+            [w, vh])
+
+
+def test_the_sum_formula_prescale_moves_only_what_reads_a_zeros_sign(monkeypatch):
+    # the sum ldexp(re) + 1j * ldexp(im) of the earlier prescale gave a -0.0
+    # part +0.0, save a real one beside a negative imaginary part.  Norms,
+    # solves and qb_nest's factors keep every bit; LAPACK's SVD reads a zero's
+    # sign in its Householder steps, so where the two prescales differ in
+    # one, singular values, condition numbers and the polar split (not the
+    # phases of singular vectors) agree to rounding, and elsewhere in every bit
+    rng = np.random.default_rng(86)
+    cases = [(x, _times_pow2(crandn(rng, x.shape[0], 2), pow2_scaled_by_parts(x)[1]))
+             for x in _signed_zero_matrices(rng, 300, square=True)]
+    want = [_prescaled_results(x, b) for x, b in cases]
+    monkeypatch.setattr(utils, "pow2_scaled", pow2_scaled_by_parts)
+    for (x, b), (exact, rounded, vectors) in zip(cases, want):
+        got_exact, got_rounded, got_vectors = _prescaled_results(x, b)
+        assert len(got_exact) == len(exact) and len(got_rounded) == len(rounded)
+        assert all(g == r if isinstance(r, str) else _same_bits(g, r)
+                   for g, r in zip(got_exact, exact))
+        if _same_bits(pow2_scaled(x)[0], pow2_scaled_by_parts(x)[0]):
+            assert all(map(_same_bits, got_rounded + got_vectors, rounded + vectors))
+        else:
+            assert all(_same_bits(g, r) or frob(g - r) <= 32 * np.finfo(float).eps * frob(r)
+                       for g, r in zip(got_rounded, rounded))
 
 
 def test_a_system_divided_by_its_power_of_two_keeps_every_bit():
