@@ -26,9 +26,9 @@ import numpy as np
 
 from . import CLASSICAL_TYPES, factor, nest
 from .errors import DomainError, InputError
-from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_matrix,
-                    cond2, crandn, dagger, expm, frob, is_hermitian, is_singular,
-                    is_unitary, opnorm, pow2_divided, solve, svd, unitary_bound)
+from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_matrix, cond2,
+                    crandn, dagger, expm, frob, is_hermitian, is_singular, is_unitary, opnorm,
+                    pow2_scaled, solve, svd, times_pow2, unitary_bound)
 
 
 class _Relation(NamedTuple):
@@ -307,8 +307,9 @@ def cartan_decompose(g, typ: str,
 
 
 def cartan_involution(g) -> np.ndarray:
-    """The involution g -> (g*)^{-1}; fixes exactly the unitaries.  An
-    inverse past the double range, as of a subnormal g, is a DomainError."""
+    """The involution g -> (g*)^{-1}; fixes exactly the unitaries.  Every
+    inverse in the double range is returned, as of 0.9 2^-1024 [[1, 1], [1, -1]]
+    (entries about 1e308); one past it, as of 1e-310 [[2, 1], [1, 2]], is a DomainError."""
     g = as_matrix(g, square=True)
     c = cond2(g)
     if is_singular(c):
@@ -359,8 +360,9 @@ def iwasawa_decompose(g, x0=None) -> IwasawaFactors:
 
     In the eigenflag's basis g = u b is the QR decomposition with positive
     diagonal, and b = a n splits b into its diagonal and unit upper
-    triangular parts, n from b divided by the diagonal's power of 2 first
-    (a subnormal pivot divides); k, a and n are those three rotated back.
+    triangular parts, n from b and the diagonal each divided by its own power
+    of 2 and the quotient scaled back, as in ``utils.solve`` (a subnormal
+    pivot divides); k, a and n are those three rotated back.
     For the default x0 = diag(n, ..., 1) the eigenflag is the standard one.
     """
     g = as_matrix(g, square=True, name="g")
@@ -368,8 +370,8 @@ def iwasawa_decompose(g, x0=None) -> IwasawaFactors:
     flag = regular_eigenflag(x0)
     qb = factor.qb_nest(flag.to_adapted(g), nest.Flag.standard(flag.n))
     diag = np.real(np.diag(qb.b))
-    ds, bs = pow2_divided(diag, qb.b)
-    nt = bs / ds[:, None]
+    (ds, e), (bs, f) = pow2_scaled(diag), pow2_scaled(qb.b)
+    nt = times_pow2(bs / ds[:, None], f - e)
     np.fill_diagonal(nt, 1.0)
     return IwasawaFactors(k=flag.from_adapted(qb.u), a=flag.from_adapted(np.diag(diag + 0j)),
                           n=flag.from_adapted(nt), x0=x0)

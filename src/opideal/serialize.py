@@ -8,6 +8,7 @@ one nonnegative real per line.  Reports encode their arrays by ``array_to_obj``.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from itertools import chain
@@ -34,12 +35,21 @@ def _require(obj: dict, field: str, kind=None):
 
 
 def _open_input(path):
-    """The input file at path, opened only once its size on disk is within
-    MAX_INPUT_BYTES, so an oversized file is refused before any byte is read."""
+    """The input file at path as a text stream, decoded as ``open`` decodes
+    it, if it has at most MAX_INPUT_BYTES: a file whose size on disk is past
+    the cap is refused before any byte is read, and a pipe or FIFO, whose
+    size is 0, once a read of MAX_INPUT_BYTES + 1 bytes gets them all."""
     size = os.stat(path).st_size
     if size > MAX_INPUT_BYTES:
         raise InputError(f"{path} is {size} bytes, over the input limit of {MAX_INPUT_BYTES}")
-    return open(path)
+    chunks, left = [], MAX_INPUT_BYTES + 1
+    with open(path, "rb") as fh:    # one read allocates its length: a file's size, or 64 KiB
+        while left > 0 and (chunk := fh.read1(min(max(size + 1, 1 << 16), left))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    if left == 0:
+        raise InputError(f"{path} is over the input limit of {MAX_INPUT_BYTES} bytes")
+    return io.TextIOWrapper(io.BytesIO(b"".join(chunks)))
 
 
 def _load_json(path):

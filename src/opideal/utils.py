@@ -26,33 +26,30 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def times_pow2(a, k: int) -> np.ndarray:
+    """a times 2^k as a complex array, each real and imaginary part on its
+    own: exact while it stays normal, and each zero keeps its sign."""
+    return np.ldexp(np.ascontiguousarray(a, dtype=complex).view(float), k).view(complex)
+
+
 def pow2_scaled(a) -> tuple[np.ndarray, int]:
     """(a / 2^e as a complex array, e) for the power of 2 just above every
-    |real and imaginary part|; e = 0 for a zero or empty a.  Each part is
-    multiplied by 2^-e on its own, which rounds nothing while it stays
-    normal, and each zero keeps its sign.  The scaled array is the same for
-    a and 2^k a, so LAPACK, which rescales far from 1 by a factor that is
-    not a power of 2, sees one input at every scale."""
-    parts = np.ascontiguousarray(a, dtype=complex).view(float)   # re, im, re, im, ...
-    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
-    return np.ldexp(parts, -e).view(complex), e
-
-
-def pow2_divided(d, *others) -> tuple:
-    """d and each of ``others`` divided, part by part and each zero keeping
-    its sign, by d's 2^e from ``pow2_scaled``, for a quotient that must not
-    see d's scale: d near 1 has no subnormal pivot, and dividing both sides
-    keeps every bit."""
-    d, e = pow2_scaled(d)
-    return (d, *(np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), -e).view(complex)
-                 for x in others))
+    |real and imaginary part|; e = 0 for a zero or empty a.  The scale is
+    ``times_pow2(a, -e)``, so rounds nothing while a part stays normal.  The
+    scaled array is the same for a and 2^k a, so LAPACK, which rescales far
+    from 1 by a factor that is not a power of 2, sees one input at every scale."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    e = int(np.frexp(np.abs(a.view(float)).max(initial=0.0))[1])
+    return times_pow2(a, -e), e
 
 
 def solve(d, b) -> np.ndarray:
-    """The package's one dense solve: x with d x = b, from the system divided
-    by d's power of 2 (``pow2_divided``), so the same bits at every scale
-    while in range, and a subnormal d far from singular solves."""
-    return np.linalg.solve(*pow2_divided(d, b))
+    """The package's one dense solve: x with d x = b, from d and b each
+    divided by its own power of 2 (``pow2_scaled``) and the solution times
+    2^(f - e), so the same bits at every scale of either while in range, a
+    subnormal d far from singular solves, and no b is pushed past the range."""
+    (ds, e), (bs, f) = pow2_scaled(d), pow2_scaled(b)
+    return times_pow2(np.linalg.solve(ds, bs), f - e)
 
 
 def frob(a) -> float:

@@ -334,6 +334,17 @@ def test_cartan_involution_of_a_matrix_whose_inverse_is_past_the_range():
     assert frob(inverse * 1e-300 - np.linalg.inv(g)) <= 1e-15
 
 
+def test_cartan_involution_of_a_matrix_whose_inverse_is_at_the_top_of_the_range():
+    # g's parts c = 0.9 2^-1024 are subnormal, and its inverse's entries
+    # +-1/(2c), about 9.99e307, are doubles: the identity divided by g's power
+    # of 2 would be past the range, but each side of the solve is divided by its own
+    g = 0.9 * 2.0 ** -1024 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    entry = 1.0 / (2.0 * g[0, 0])
+    involuted = cartan_involution(g)
+    assert not involuted.imag.any()
+    assert np.all(np.abs(involuted.real - entry * np.sign(g)) <= 2 * np.spacing(entry))
+
+
 def _positive_qr(g):
     q, r = np.linalg.qr(g)
     ph = np.diag(r) / np.abs(np.diag(r))

@@ -5,7 +5,9 @@ only cli and errors, with no numpy, and each subcommand the modules of
 its own layer."""
 
 import ast
+import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +131,18 @@ def test_only_utils_rescales_by_powers_of_two():
              if path.stem != "utils"
              for hit in power_of_two_calls(path.read_text(), str(path))]
     assert stray == [], f"frexp/ldexp/svd/solve/inv called outside utils: {stray}"
+
+
+def test_readme_names_only_attributes_of_the_modules_it_names():
+    """Every backticked ``<module>.<name>`` in README.md, for a module of the
+    package (not a file name such as ``cli.py``), is an attribute of it."""
+    readme = (ROOT / "README.md").read_text()
+    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", readme)
+             if module in MODULES and name != "py"}
+    assert len(named) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"opideal.{module}"), name)]
+    assert missing == [], f"README.md names what its module does not have: {missing}"
 
 
 def test_power_of_two_guard_sees_each_form_of_call():

@@ -5,6 +5,7 @@ encoded all at once."""
 import json
 import math
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -151,6 +152,31 @@ def test_an_input_file_over_the_byte_cap_is_refused_before_it_is_read(tmp_path, 
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"code": "input-error", "message": (
         f"{path} is {MAX_INPUT_BYTES + 1} bytes, over the input limit of {MAX_INPUT_BYTES}")}
+
+
+@pytest.mark.parametrize("load, text, want", [
+    (serialize.load_matrix, '{"rows": 1, "cols": 1, "data": [[2.0, 0.0]]}', [[2.0]]),
+    (serialize.load_sequence, "2.0\n1.0\n", [2.0, 1.0])], ids=["json", "csv"])
+def test_a_fifo_over_the_byte_cap_is_refused_once_the_read_passes_it(
+        tmp_path, monkeypatch, load, text, want):
+    # a FIFO, like a pipe, has size 0 on disk: what bounds it is the read,
+    # which stops one byte past the cap; one of exactly the cap still loads
+    cap = 64
+    monkeypatch.setattr(serialize, "MAX_INPUT_BYTES", cap)
+    for size in (cap, cap + 1):
+        path = tmp_path / f"fifo{size}"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(text.ljust(size),), daemon=True)
+        writer.start()
+        if size == cap:
+            loaded = load(path)
+            assert np.array_equal(getattr(loaded, "values", loaded), want)
+        else:
+            with pytest.raises(InputError) as info:
+                load(path)
+            assert str(info.value) == f"{path} is over the input limit of {cap} bytes"
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def test_render_refuses_what_is_not_an_array_or_json():

@@ -11,8 +11,8 @@ import pytest
 from opideal import (DomainError, Flag, InputError, StructureData, UnitaryRep,
                      cartan_decompose, cyclic_group, qb_nest, utils, validate_structure)
 from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, cond2, crandn, dagger, frob,
-                           is_hermitian, is_singular, is_unitary, pow2_divided,
-                           pow2_scaled, solve, svd)
+                           is_hermitian, is_singular, is_unitary, pow2_scaled,
+                           solve, svd)
 from oracles import frobenius_norm_decimal, pow2_scaled_by_parts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
@@ -198,20 +198,26 @@ def test_the_sum_formula_prescale_moves_only_what_reads_a_zeros_sign(monkeypatch
                        for g, r in zip(got_rounded, rounded))
 
 
-def test_a_system_divided_by_its_power_of_two_keeps_every_bit():
-    # d, b and the solution of d z = b, all times 2^(k - e) exactly, with
-    # the -0.0 parts of d and b kept, and utils.solve's bits at every k; a
-    # subnormal d is brought to [1/2, 1)
+def test_each_side_of_a_system_divided_by_its_own_power_of_two_keeps_every_bit():
+    # solve(2^k d, 2^j b) is 2^(j - k) times the solution of d z = b in every
+    # bit, the -0.0 parts of d and b kept, wherever that solution is normal:
+    # each side is divided by its own power of 2, so neither is pushed past
+    # the range; a subnormal d with exact parts solves alike
     rng = np.random.default_rng(85)
     d, b = crandn(rng, 3, 3), crandn(rng, 3, 2)
     d[0, 1], b[1, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
-    e = pow2_scaled(d)[1]
+    z = np.linalg.solve(d, b)
+    exponents = np.frexp(z.view(float)[z.view(float) != 0.0])[1]
+    solved = 0
     for k in (-1000, 0, 700):
-        ds, bs = pow2_divided(_times_pow2(d, k), _times_pow2(b, k))
-        assert _same_bits(ds, _times_pow2(d, -e)) and _same_bits(bs, _times_pow2(b, -e))
-        assert _same_bits(np.linalg.solve(ds, bs), np.linalg.solve(d, b))
-        assert _same_bits(solve(_times_pow2(d, k), _times_pow2(b, k)), np.linalg.solve(d, b))
-    assert pow2_divided(np.array([[1e-310]]))[0][0, 0] == np.ldexp(1e-310, 1029)
+        for j in (-1000, 0, 700):
+            if exponents.min() + j - k >= -1021 and exponents.max() + j - k <= 1024:
+                got = solve(_times_pow2(d, k), _times_pow2(b, j))
+                assert _same_bits(got, _times_pow2(z, j - k))
+                solved += 1
+    assert solved == 7
+    d, b = _times_pow2([[3.0, 1.0], [1.0, 2.0]], 0), _times_pow2([[1.0, 5.0], [2.0, -0.0]], 0)
+    assert _same_bits(solve(_times_pow2(d, -1070), _times_pow2(b, -1070)), np.linalg.solve(d, b))
 
 
 def test_condition_number_is_exact_under_power_of_two_scaling():
