@@ -160,26 +160,15 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """The eight units {+-1, +-i, +-j, +-k} under quaternion multiplication."""
-    units = ["1", "i", "j", "k"]
-    mul_unit = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    elems = [(s, u) for s in (1, -1) for u in units]
-    index = {el: i for i, el in enumerate(elems)}
-
-    def mul(x, y):
-        s1, u1 = x
-        s2, u2 = y
-        s3, u3 = mul_unit[(u1, u2)]
-        return (s1 * s2 * s3, u3)
-
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
-    labels = [("" if s == 1 else "-") + u for s, u in elems]
-    return FiniteGroup(table, labels=labels, name="q8")
+    """The eight units {+-1, +-i, +-j, +-k} as 2 x 2 complex matrices: i = diag(i, -i),
+    j = [[0, 1], [-1, 0]] and k = i j.  Every entry is 0, +-1 or +-i, so each
+    product is exact and the table is read off by equality."""
+    i, j = np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+    units = np.array([np.eye(2), i, j, i @ j])
+    mats = np.concatenate([units, -units])
+    # table[x, y] is the z whose matrix equals mats[x] @ mats[y]
+    table = ((mats[:, None] @ mats)[:, :, None] == mats).all(axis=(3, 4)).argmax(axis=2)
+    return FiniteGroup(table, labels="1 i j k -1 -i -j -k".split(), name="q8")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -200,20 +189,25 @@ def _same_group(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     return g1 is g2 or (g1.order == g2.order and np.array_equal(g1.table, g2.table))
 
 
+def _group_vector(group: FiniteGroup, values, vector: str, entries: str) -> np.ndarray:
+    """values as a read-only complex vector of one finite entry per element."""
+    v = np.asarray(values, dtype=complex).reshape(-1)
+    if v.size != group.order:
+        raise InputError(f"{vector} must match the group order")
+    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        raise InputError(f"{entries} must be finite")
+    v.flags.writeable = False
+    return v
+
+
 class GroupFunction:
     """A complex-valued function on a finite group, stored as a vector."""
 
     __slots__ = ("group", "values")
 
     def __init__(self, group: FiniteGroup, values):
-        v = np.asarray(values, dtype=complex).reshape(-1)
-        if v.size != group.order:
-            raise InputError("function vector must match the group order")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise InputError("function values must be finite")
         self.group = group
-        self.values = v
-        self.values.flags.writeable = False
+        self.values = _group_vector(group, values, "function vector", "function values")
 
     def __repr__(self) -> str:
         return f"GroupFunction({self.values.tolist()!r})"
@@ -225,14 +219,8 @@ class Functional:
     __slots__ = ("group", "weights")
 
     def __init__(self, group: FiniteGroup, weights):
-        w = np.asarray(weights, dtype=complex).reshape(-1)
-        if w.size != group.order:
-            raise InputError("weight vector must match the group order")
-        if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
-            raise InputError("weights must be finite")
         self.group = group
-        self.weights = w
-        self.weights.flags.writeable = False
+        self.weights = _group_vector(group, weights, "weight vector", "weights")
 
     def __call__(self, psi: GroupFunction) -> complex:
         if not _same_group(psi.group, self.group):

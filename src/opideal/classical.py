@@ -26,9 +26,9 @@ import numpy as np
 
 from . import CLASSICAL_TYPES, factor, nest
 from .errors import DomainError, InputError
-from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_matrix, cond2,
-                    crandn, dagger, expm, frob, is_hermitian, is_singular, is_unitary, opnorm,
-                    pow2_scaled, solve, svd, times_pow2, unitary_bound)
+from .utils import (CARTAN_TOL, EIGEN_GAP_TOL, MEMBERSHIP_TOL, NULLITY_TOL, as_matrix, crandn,
+                    dagger, expm, frob, is_hermitian, is_singular, is_unitary, nonsingular_cond,
+                    opnorm, pow2_scaled, solve, svd, times_pow2, unitary_bound)
 
 
 class _Relation(NamedTuple):
@@ -153,6 +153,10 @@ def default_structure(typ: str, n: int, split=None) -> StructureData:
     blocks = (n,)
     if "v" in reads:
         if split is None:
+            smallest = 4 if "c_anti" in reads else 2    # both default blocks nonempty
+            if n < smallest:
+                raise InputError(f"type {typ} needs n >= {smallest} for its default split, "
+                                 f"got n={n}")
             p = 2 * (n // 4) if "c_anti" in reads else n - n // 2
             split = (p, n - p)
         split = (int(split[0]), int(split[1]))
@@ -311,9 +315,7 @@ def cartan_involution(g) -> np.ndarray:
     inverse in the double range is returned, as of 0.9 2^-1024 [[1, 1], [1, -1]]
     (entries about 1e308); one past it, as of 1e-310 [[2, 1], [1, 2]], is a DomainError."""
     g = as_matrix(g, square=True)
-    c = cond2(g)
-    if is_singular(c):
-        raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
+    nonsingular_cond(g)
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = solve(g, np.eye(g.shape[0]))
     if not np.isfinite(inverse).all():

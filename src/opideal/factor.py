@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .nest import Flag, Partition
-from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, cond2, dagger, frob,
-                    is_hermitian, is_singular, solve, svd)
+from .utils import (NILPOTENCY_TOL, PD_THRESHOLD, as_matrix, dagger, frob, is_hermitian,
+                    nonsingular_cond, solve, svd)
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,7 @@ def qb_nest(g, flag: Flag) -> QbFactors:
     """
     g = as_matrix(g, square=True, name="g")
     y = flag.to_adapted(g)
-    c = cond2(g)
-    if is_singular(c):
-        raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")
+    c = nonsingular_cond(g)
     bounds = Partition.maximal(flag).bounds
     q, r = np.linalg.qr(y)
     w = _block_polar_phases(r, bounds)

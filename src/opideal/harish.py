@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .utils import as_matrix, cond2, is_singular, solve
+from .utils import as_matrix, nonsingular_cond, solve
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,7 @@ def _factorize(g: np.ndarray, split: BlockSplit, outside: str) -> HCFactors:
     power of 2; ``outside`` names the set that a singular d leaves."""
     p = split.n_plus
     a, b, c, d = g[:p, :p], g[:p, p:], g[p:, :p], g[p:, p:]
-    cd = cond2(d)
-    if is_singular(cd):
-        raise DomainError(
-            f"{outside}: lower-right block is numerically singular "
-            f"(condition number {cd:.3e})")
+    nonsingular_cond(d, f"{outside}: lower-right block")
     zplus = solve(d.T, b.T).T      # B D^{-1}
     zminus = solve(d, c)           # D^{-1} C
     kappa = np.zeros_like(g)

@@ -162,6 +162,9 @@ def group_from_obj(obj) -> amenable.FiniteGroup:
     table = _require(obj, "table", list)
     if len(table) != order:
         raise InputError(f"field 'table' has {len(table)} rows, expected {order}")
+    # numpy reads JSON true/false among integers as 1 and 0
+    if bool in set(map(type, chain.from_iterable(r for r in table if isinstance(r, list)))):
+        raise InputError("cayley table entries must be integer element indices")
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise InputError("field 'labels' must be a list")

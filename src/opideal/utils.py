@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 
 def as_matrix(a, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -140,6 +140,14 @@ def cond2(a) -> float:
     numerically singular input: a ratio of prescaled values (their prescale is 1)."""
     s = svd(pow2_scaled(a)[0])
     return float(s[0]) / float(s[-1]) if s.size and s[-1] != 0.0 else math.inf
+
+
+def nonsingular_cond(a, name: str = "matrix") -> float:
+    """cond2(a), or where is_singular the package's one "numerically singular" DomainError."""
+    c = cond2(a)
+    if is_singular(c):
+        raise DomainError(f"{name} is numerically singular (condition number {c:.3e})")
+    return c
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:

@@ -59,6 +59,24 @@ def test_vectorised_constructors_match_tuple_tables():
         assert np.array_equal(group.table, table) and group.labels == labels
 
 
+# Q8's table and labels as the hand-typed unit table gave them: 1, i, j, k
+# then their negatives, with i j = k, j k = i, k i = j and i i = j j = k k = -1.
+Q8_LABELS = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
+Q8_TABLE = [[0, 1, 2, 3, 4, 5, 6, 7],
+            [1, 4, 3, 6, 5, 0, 7, 2],
+            [2, 7, 4, 1, 6, 3, 0, 5],
+            [3, 2, 5, 4, 7, 6, 1, 0],
+            [4, 5, 6, 7, 0, 1, 2, 3],
+            [5, 0, 7, 2, 1, 4, 3, 6],
+            [6, 3, 0, 5, 2, 7, 4, 1],
+            [7, 6, 1, 0, 3, 2, 5, 4]]
+
+
+def test_quaternion_group_matches_the_unit_table():
+    q8 = quaternion_group()
+    assert q8.table.tolist() == Q8_TABLE and q8.labels == Q8_LABELS
+
+
 def test_cayley_validation_rejects_corrupt_tables():
     good = symmetric_group(3).table.copy()
     rng = np.random.default_rng(0)

@@ -416,6 +416,29 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("typ, n, smallest", [("AIII", 1, 2), ("BI", 1, 2), ("CII", 2, 4)])
+def test_cartan_names_the_dimension_its_default_split_needs(tmp_path, capsys, typ, n,
+                                                            smallest):
+    # with no --split, the default split of an n below it would leave a block empty
+    save_matrix(tmp_path / "g.json", np.eye(n))
+    code, out = run_cli(["cartan", "--type", typ, "--matrix", str(tmp_path / "g.json")], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "input-error",
+        "message": f"type {typ} needs n >= {smallest} for its default split, got n={n}"}
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_json_booleans_in_a_group_table_are_refused(tmp_path, capsys, last):
+    # numpy reads [[0, 1], [1, false]] as Z2 and [[0, 1], [1, true]] as a table without inverses
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, last]]}))
+    code, out = run_cli(["mean", "--group", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "input-error", "message": "cayley table entries must be integer element indices"}
+
+
 @pytest.mark.parametrize("argv, entries", [
     (["cartan", "--type", "B"], [1e300, 1e300]),     # ||g||^2 overflows a float
 ], ids=["cartan-overflow"])

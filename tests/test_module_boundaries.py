@@ -133,6 +133,44 @@ def test_only_utils_rescales_by_powers_of_two():
     assert stray == [], f"frexp/ldexp/svd/solve/inv called outside utils: {stray}"
 
 
+def singular_refusals(source, filename="<module>"):
+    """(line, name) of every call the source makes to a function named
+    ``cond2``, by bare or dotted name, and of every string that names a
+    matrix "numerically singular"."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Call) and (_dotted(node.func) or "").split(".")[-1] == "cond2":
+            hits.append((node.lineno, _dotted(node.func)))
+        elif isinstance(node, ast.Constant) and "numerically singular" in str(node.value):
+            hits.append((node.lineno, "numerically singular"))
+    return sorted(hits)
+
+
+def test_only_utils_refuses_a_singular_matrix():
+    """``utils.nonsingular_cond`` is the one place that reads a condition
+    number and refuses a singular matrix: no other module calls ``cond2``
+    or words the refusal."""
+    assert singular_refusals((PACKAGE / "utils.py").read_text())    # the guard can fire
+    stray = [(path.name,) + hit for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "utils"
+             for hit in singular_refusals(path.read_text(), str(path))]
+    assert stray == [], f"a singular matrix refused outside utils: {stray}"
+
+
+def test_singular_refusal_guard_sees_each_form_of_call():
+    source = "\n".join([
+        "from .utils import cond2",
+        "import opideal.utils as u",
+        "c = cond2(g)",
+        "u.cond2(d)",
+        "opideal.utils.cond2(x)",
+        'raise DomainError(f"matrix is numerically singular (condition number {c:.3e})")',
+        "nonsingular_cond(g), cond2, u.cond2, self.cond(x)",
+    ])
+    assert singular_refusals(source) == [
+        (3, "cond2"), (4, "u.cond2"), (5, "opideal.utils.cond2"), (6, "numerically singular")]
+
+
 def test_readme_names_only_attributes_of_the_modules_it_names():
     """Every backticked ``<module>.<name>`` in README.md, for a module of the
     package (not a file name such as ``cli.py``), is an attribute of it."""
@@ -278,7 +316,8 @@ def test_cli_parses_argv_before_it_loads_numpy():
 
 # Runs the code after it, then writes to stderr, as one JSON line, the
 # package modules whose code ran (by the audit event of each module body's
-# exec), whether numpy was imported, and the package modules in sys.modules.
+# exec), whether numpy and numpy.random were imported, and the package modules
+# in sys.modules.
 _PROBE = r"""
 import json, os, sys
 ran = []
@@ -292,6 +331,7 @@ finally:
         "ran": sorted(os.path.basename(f)[:-3] for f in ran
                       if os.path.dirname(f) == package and not f.endswith("__.py")),
         "numpy": "numpy" in sys.modules,
+        "numpy.random": "numpy.random" in sys.modules,
         "registered": sorted(m for m in sys.modules if m.startswith("opideal.")),
     }}) + "\n")
 """
@@ -409,6 +449,8 @@ def test_a_subcommand_runs_only_its_layers_modules(bench_requests, command):
     proc, seen = _probe(_ENTRY, *argv)
     assert proc.returncode == 0, proc.stderr
     assert set(seen["ran"]) == _MODULES_RUN[command]
+    # importing numpy.random costs ~6 MB of RSS, and only experiment draws samples
+    assert seen["numpy.random"] == (command == "experiment")
 
 
 @pytest.mark.parametrize("argv", [
