@@ -401,6 +401,21 @@ def test_error_reports(workdir, capsys):
     (["cartan", "--type", "AIII", "--matrix", "{m}", "--split", "2"], None, "--split"),
     (["cartan", "--type", "B", "--matrix", "{m}", "--split", "1,3"], None,
      "--split applies only to types with a signature; B has none"),
+    # numpy reads true/false among integers as 1/0: Z2, and a table without inverses
+    (["mean", "--group", "{file}"], {"order": 2, "table": [[0, 1], [1, False]]},
+     "cayley table entries must be integer element indices"),
+    (["mean", "--group", "{file}"], {"order": 2, "table": [[0, 1], [1, True]]},
+     "cayley table entries must be integer element indices"),
+    # with no --split, a default split of this n would leave a block empty
+    (["cartan", "--type", "AIII", "--matrix", "{file}"],
+     {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},
+     "type AIII needs n >= 2 for its default split, got n=1"),
+    (["cartan", "--type", "BI", "--matrix", "{file}"],
+     {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},
+     "type BI needs n >= 2 for its default split, got n=1"),
+    (["cartan", "--type", "CII", "--matrix", "{file}"],
+     {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+     "type CII needs n >= 4 for its default split, got n=2"),
 ])
 def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, message):
     bad = workdir / "bad.json"
@@ -414,29 +429,6 @@ def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, me
     err = json.loads(out)["error"]
     assert err["code"] == "input-error"
     assert message in err["message"]
-
-
-@pytest.mark.parametrize("typ, n, smallest", [("AIII", 1, 2), ("BI", 1, 2), ("CII", 2, 4)])
-def test_cartan_names_the_dimension_its_default_split_needs(tmp_path, capsys, typ, n,
-                                                            smallest):
-    # with no --split, the default split of an n below it would leave a block empty
-    save_matrix(tmp_path / "g.json", np.eye(n))
-    code, out = run_cli(["cartan", "--type", typ, "--matrix", str(tmp_path / "g.json")], capsys)
-    assert code == 1
-    assert json.loads(out)["error"] == {
-        "code": "input-error",
-        "message": f"type {typ} needs n >= {smallest} for its default split, got n={n}"}
-
-
-@pytest.mark.parametrize("last", [False, True])
-def test_json_booleans_in_a_group_table_are_refused(tmp_path, capsys, last):
-    # numpy reads [[0, 1], [1, false]] as Z2 and [[0, 1], [1, true]] as a table without inverses
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, last]]}))
-    code, out = run_cli(["mean", "--group", str(path)], capsys)
-    assert code == 1
-    assert json.loads(out)["error"] == {
-        "code": "input-error", "message": "cayley table entries must be integer element indices"}
 
 
 @pytest.mark.parametrize("argv, entries", [
