@@ -63,10 +63,14 @@ def _load_json(path):
 def _complex_pairs(data: list, field: str) -> np.ndarray:
     """A list of [re, im] pairs as a flat complex array."""
     if set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}:
-        try:   # each (re, im) pair of float64 is one complex128
-            return np.fromiter(chain.from_iterable(data), float, 2 * len(data)).view(complex)
+        try:
+            parts = np.fromiter(chain.from_iterable(data), float, 2 * len(data))
         except (TypeError, ValueError, OverflowError):
             pass
+        else:   # JSON true/false decode to 1.0/0.0: only then are the types read
+            if not (((parts == 0.0) | (parts == 1.0)).any()
+                    and bool in map(type, chain.from_iterable(data))):
+                return parts.view(complex)    # each (re, im) pair of float64 is one complex128
     raise InputError(f"field {field!r} must be a list of [re, im] pairs")
 
 

@@ -201,29 +201,6 @@ class DualNormResult:
     closed_form: float
 
 
-def _pairing_ratio(phi: SymNormFunc, xi: np.ndarray, eta: np.ndarray) -> float:
-    """<xi, eta> / gauge(xi), taken on xi / max xi and eta / max eta and
-    multiplied by max eta: the ratio ignores the scale of xi and scales with
-    eta, and no pairing or gauge of the quotients leaves the float range."""
-    size, top = float(xi.max()), float(eta.max())
-    if size <= 0.0:
-        return 0.0
-    with np.errstate(under="ignore"):    # a quotient below the range is 0
-        xi, eta = xi / size, eta / top
-    return top * (float(np.dot(xi, eta)) / _gauge_raw(phi, xi))
-
-
-def _dual_candidates(eta: np.ndarray):
-    """Flat trial vectors for the dual maximisation: e1, and 1_n when n > 1.
-
-    They hold the maximiser of schatten:1, schatten:inf and every kyfan:k;
-    no other flat prefix does better.
-    """
-    yield np.eye(1, eta.size)[0]
-    if eta.size > 1:
-        yield np.ones(eta.size)
-
-
 def adjoint_phi_eval(phi: SymNormFunc, eta) -> DualNormResult:
     """Dual gauge value: sup over sorted xi >= 0 of <xi, eta> / gauge(xi).
 
@@ -233,22 +210,26 @@ def adjoint_phi_eval(phi: SymNormFunc, eta) -> DualNormResult:
     maximiser xi = (eta / eta_1)^(1/(p-1)), at which <xi, eta> equals
     ||xi||_p ||eta||_q.  It is the pairing ratio of explicit feasible
     vectors, so a lower bound computed through the gauge alone, and it is
-    deterministic.  The exact value is returned alongside: ell^q
-    (1/p + 1/q = 1) for schatten:p and max(eta_1, sum / k) for kyfan:k
-    (Bhatia, Matrix Analysis, ch. IV), taken as eta_1 max(1, sum(eta / eta_1) / k).
+    deterministic.  Each trial xi has largest entry 1 and is paired with
+    eta / eta_1, so no pairing or gauge leaves the float range.  The exact
+    value is returned alongside: ell^q (1/p + 1/q = 1) for schatten:p and
+    max(eta_1, sum / k) for kyfan:k (Bhatia, Matrix Analysis, ch. IV),
+    taken as eta_1 max(1, sum(eta / eta_1) / k).
     For 2^k eta both are exactly 2^k times eta's.
     """
     ev = _as_sequence(eta).values
     if ev.size == 0 or ev[0] == 0.0:
         raise InputError("eta must be nonzero")
+    top = float(ev[0])
     # an entry of eta / eta_1 or of the Hoelder maximiser below the float range is 0
     with np.errstate(under="ignore"):
-        best = max(_pairing_ratio(phi, xi, ev) for xi in _dual_candidates(ev))
+        q = ev / top
+        trials = [np.eye(1, q.size)[0]] + ([np.ones(q.size)] if q.size > 1 else [])
         if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
-            xi = np.power(ev / ev[0], 1.0 / (phi.p - 1.0))
-            best = max(best, _pairing_ratio(phi, xi, ev))
+            trials.append(np.power(q, 1.0 / (phi.p - 1.0)))
+        best = max(top * (float(np.dot(xi, q)) / _gauge_raw(phi, xi)) for xi in trials)
         if phi.kind == "kyfan":
-            closed = float(ev[0]) * max(1.0, float((ev / ev[0]).sum()) / phi.k)
+            closed = top * max(1.0, float(q.sum()) / phi.k)
         else:
             closed = _gauge_raw(dual_gauge(phi), ev)
     return DualNormResult(estimate=best, closed_form=closed)

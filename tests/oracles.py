@@ -19,7 +19,9 @@ Python integers where the package reads a nilpotency index off the block
 pattern, and the schatten gauges and the Frobenius norm in 60-digit decimal
 arithmetic where the package divides by the largest entry or its power of 2
 in floating point, and the power-of-2 prescale taken part by part where the
-package scales the interleaved parts in one call.
+package scales the interleaved parts in one call, and the pairing ratio
+rescaled for any trial vector where the package pairs only trial vectors
+whose largest entry is 1.
 """
 
 import decimal
@@ -34,7 +36,7 @@ from scipy.optimize import minimize
 from opideal import Flag, InputError, UnitaryRep, project, symmetric_group
 from opideal.classical import _relations
 from opideal.serialize import complex_to_pairs, matrix_to_obj
-from opideal.symfunc import _average, _gauge_raw, _pairing_ratio
+from opideal.symfunc import _average, _gauge_raw
 from opideal.utils import crandn, dagger, frob, opnorm
 
 GRAM_CLIP = 1e-12   # Gram weights below this times the largest span nothing
@@ -274,6 +276,18 @@ def _flat_prefix_candidates(eta, rng):
     yield from _shadows_and_random_draws(eta, rng)
 
 
+def pairing_ratio(phi, xi, eta):
+    """<xi, eta> / gauge(xi), taken on xi / max xi and eta / max eta and
+    multiplied by max eta: the ratio ignores the scale of xi and scales with
+    eta, and no pairing or gauge of the quotients leaves the float range."""
+    size, top = float(xi.max()), float(eta.max())
+    if size <= 0.0:
+        return 0.0
+    with np.errstate(under="ignore"):    # a quotient below the range is 0
+        xi, eta = xi / size, eta / top
+    return top * (float(np.dot(xi, eta)) / _gauge_raw(phi, xi))
+
+
 def fixed_point_ratio(phi, eta):
     """Pairing ratio at the multiplicative fixed point of an ell^p gauge, 1 < p < inf.
 
@@ -294,7 +308,7 @@ def fixed_point_ratio(phi, eta):
     log_eta = np.log(eta)
     log_xi = log_eta - log_eta.max()
     xi = np.exp(log_xi)
-    ratio = _pairing_ratio(phi, xi, eta)
+    ratio = pairing_ratio(phi, xi, eta)
     a = 1.0
     for _ in range(max_iter):
         log_grad = (p - 1.0) * (log_xi - math.log(_gauge_raw(phi, xi)))
@@ -303,7 +317,7 @@ def fixed_point_ratio(phi, eta):
             trial = log_xi + a * direction
             trial -= trial.max()
             xi_trial = np.exp(trial)
-            r = _pairing_ratio(phi, xi_trial, eta)
+            r = pairing_ratio(phi, xi_trial, eta)
             if r > ratio:
                 break
             a /= 2.0
@@ -327,7 +341,7 @@ def full_family_dual_estimate(phi, eta, seed=7):
     cands = itertools.chain(flat, _shadows_and_random_draws(
         eta, np.random.default_rng(seed)))
     with np.errstate(over="ignore"):
-        best = max(_pairing_ratio(phi, xi, eta) for xi in cands)
+        best = max(pairing_ratio(phi, xi, eta) for xi in cands)
         if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
             best = max(best, fixed_point_ratio(phi, eta))
     return best
@@ -444,7 +458,7 @@ def _slsqp_ascent(phi, eta, delta0, max_iter, ftol):
                       "fun": lambda d: 1.0 - _gauge_raw(phi, unpack(d))}],
         options={"maxiter": max_iter, "ftol": ftol},
     )
-    return _pairing_ratio(phi, unpack(res.x), eta)
+    return pairing_ratio(phi, unpack(res.x), eta)
 
 
 def slsqp_dual_ascent(phi, eta, seed=7, restarts=2, max_iter=80, ftol=1e-9):
@@ -455,7 +469,7 @@ def slsqp_dual_ascent(phi, eta, seed=7, restarts=2, max_iter=80, ftol=1e-9):
     rng = np.random.default_rng(seed)
     best, best_xi = 0.0, None
     for xi in _flat_prefix_candidates(eta, rng):
-        r = _pairing_ratio(phi, xi, eta)
+        r = pairing_ratio(phi, xi, eta)
         if r > best:
             best, best_xi = r, xi
     starts = [np.clip(np.append(-np.diff(best_xi), best_xi[-1]), 0.0, None)]
@@ -468,12 +482,14 @@ def slsqp_dual_ascent(phi, eta, seed=7, restarts=2, max_iter=80, ftol=1e-9):
 
 def complex_pairs_by_asarray(data, field):
     """A list of [re, im] pairs as a flat complex array, by numpy's
-    conversion of the whole nested list."""
+    conversion of the whole nested list, which reads JSON true/false as
+    numbers; they are refused after it, entry by entry."""
     try:
         pairs = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
         pairs = None
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2 or any(
+            isinstance(x, bool) for pair in data for x in pair):
         raise InputError(f"field {field!r} must be a list of [re, im] pairs")
     return pairs.view(complex).ravel()
 

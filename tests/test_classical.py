@@ -16,7 +16,7 @@ from opideal import (CLASSICAL_TYPES, DomainError, InputError,
 from opideal import classical
 from opideal.classical import StructureData
 from opideal.utils import CARTAN_TOL, crandn, dagger, expm as numpy_expm, frob, opnorm
-from oracles import algebra_membership_by_relations
+from oracles import algebra_membership_by_relations, svd_polar
 
 
 def test_default_structures_validate():
@@ -244,21 +244,13 @@ def test_cartan_positive_input():
     assert frob(cf.x - h) < 1e-10
 
 
-def _svd_polar_oracle(g):
-    u, s, vh = np.linalg.svd(g)
-    k = u @ vh
-    pos = dagger(vh) @ np.diag(s) @ vh
-    w, v = np.linalg.eigh(pos)
-    return k, v @ np.diag(np.log(w)) @ dagger(v)
-
-
 @pytest.mark.parametrize("typ", CLASSICAL_TYPES)
 def test_cartan_each_type_with_polar_oracle(typ):
     st = default_structure(typ, 4)
     for seed in (11, 12):
         g = random_group_element(typ, st, seed=seed, radius=0.7)
         cf = cartan_decompose(g, typ, st)
-        k_o, x_o = _svd_polar_oracle(g)
+        k_o, x_o = svd_polar(g)
         assert frob(cf.k - k_o) < 1e-9 * max(1.0, frob(k_o))
         assert frob(cf.x - x_o) < 1e-9 * max(1.0, frob(x_o))
         assert group_membership(cf.k, typ, st, tol=1e-8)

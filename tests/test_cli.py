@@ -416,6 +416,23 @@ def test_error_reports(workdir, capsys):
     (["cartan", "--type", "CII", "--matrix", "{file}"],
      {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
      "type CII needs n >= 4 for its default split, got n=2"),
+    # JSON true/false are not numbers, though they decode as 1.0/0.0
+    (["svalues", "--matrix", "{file}"], {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
+     "field 'data' must be a list of [re, im] pairs"),
+    (["arens", "--group", "z6", "--mu", "{file}", "--nu", "{file}"],
+     {"weights": [[False, True]] * 6}, "field 'weights' must be a list of [re, im] pairs"),
+    (["norm", "--phi", "schatten:abc", "--matrix", "{m}"], None,
+     "bad schatten parameter 'abc'"),
+    (["svalues", "--matrix", "{file}"], {"rows": 0, "cols": 1, "data": []},
+     "field 'rows'/'cols' must be positive"),
+    (["truncate", "--matrix", "{m}", "--flag", "{file}"], [1, 2],
+     "flag object must be a JSON object"),
+    (["arens", "--group", "z6", "--mu", "{file}", "--nu", "{file}"], [],
+     "functional object must be a JSON object"),
+    (["mean", "--group", "{file}"], {"order": 2, "table": [[0, 2], [2, 0]]},
+     "cayley table entries must be element indices"),
+    (["mean", "--group", "{file}"], {"order": 1, "table": [[0]], "labels": ["e", "a"]},
+     "labels must match the group order"),
 ])
 def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, message):
     bad = workdir / "bad.json"
@@ -469,6 +486,18 @@ def test_hc_of_a_subnormal_lower_right_block(tmp_path, capsys):
     assert np.array_equal(matrix_from_obj(rep["zminus"]), np.zeros((1, 1)))
     assert np.array_equal(matrix_from_obj(rep["kappa"]), np.diag([1.0, 1e-310]))
     assert rep["residuals"]["reconstruction"] == 0.0
+
+
+def test_hc_reports_a_point_outside_the_domain(tmp_path, capsys):
+    # g [[1, z], [0, 1]] = [[0, 1], [1, 0]]: its lower-right block is 0
+    save_matrix(tmp_path / "g.json", np.array([[0.0, 1.0], [1.0, 1.0]]))
+    save_matrix(tmp_path / "z.json", np.array([[-1.0]]))
+    code, out = run_cli(["hc", "--matrix", str(tmp_path / "g.json"), "--split", "1,1",
+                         "--z", str(tmp_path / "z.json")], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["domain"] is False
+    assert "action" not in rep and "cocycle" not in rep
 
 
 @pytest.mark.parametrize("command, factors, unipotent", [
@@ -1015,6 +1044,16 @@ def test_negative_seed_is_input_error(capsys, monkeypatch, seed, env, source):
     err = json.loads(captured.out)["error"]
     assert err["code"] == "input-error"
     assert err["message"].startswith(f"{source} must be a nonnegative integer")
+
+
+def test_a_seed_that_is_not_an_integer_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("OPIDEAL_SEED", "abc")
+    code = main(["experiment", "truncation-growth", "--phi", "schatten:1",
+                 "--sizes", "4", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["error"] == {
+        "code": "input-error", "message": "OPIDEAL_SEED must be an integer, got 'abc'"}
 
 
 @pytest.mark.parametrize("argv", [

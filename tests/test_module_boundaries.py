@@ -511,3 +511,42 @@ def test_first_use_from_four_threads_at_once_runs_the_module_once():
     proc = subprocess.run([sys.executable, "-c", _FIRST_USE_FROM_THREADS],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# The first run of amenable's code fails before the code starts: the module
+# is deferred again, and the next read runs the code, once.
+_RETRY_AFTER_A_FAILED_FIRST_RUN = r"""
+import sys, types
+import opideal
+
+module = sys.modules["opideal.amenable"]
+loader = module.__spec__.loader
+calls = []
+
+
+def exec_module(m):
+    calls.append(m)
+    if len(calls) == 1:
+        raise RuntimeError("first run fails")
+    type(loader).exec_module(loader, m)
+
+
+loader.exec_module = exec_module
+try:
+    opideal.amenable.cyclic_group
+except RuntimeError:
+    pass
+else:
+    raise AssertionError("the first read did not raise")
+assert type(module).__name__ == "_Deferred" and len(calls) == 1
+assert opideal.amenable.cyclic_group(5).order == 5
+assert opideal.amenable.dihedral_group(3).order == 6
+assert len(calls) == 2 and type(module) is types.ModuleType
+assert {"amenable", "qb_nest"} <= set(dir(opideal))
+"""
+
+
+def test_a_failed_first_run_leaves_the_module_deferred_for_the_next_read():
+    proc = subprocess.run([sys.executable, "-c", _RETRY_AFTER_A_FAILED_FIRST_RUN],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -12,11 +12,11 @@ from opideal import (InputError, NonincreasingSequence,
                      SymNormFunc, adjoint_phi_eval, boyd_estimate, contract,
                      contraction_norm, dilate, dilation_norm, dual_gauge,
                      phi_eval, phi_norm, singular_values, symfunc)
-from opideal.symfunc import _average, _dual_candidates
+from opideal.symfunc import _average
 from opideal.utils import MAX_PROBE_LEN, crandn, dagger
 from oracles import (_test_sequences, flat_probe_norm, full_family_contraction_norm,
                      full_family_dilation_norm, full_family_dual_estimate,
-                     schatten_gauge_decimal, slsqp_dual_ascent)
+                     pairing_ratio, schatten_gauge_decimal, slsqp_dual_ascent)
 
 
 def test_sequence_validation():
@@ -434,16 +434,32 @@ def test_dual_candidates_e1_and_ones_hold_the_nonsmooth_maximisers(n):
     # e1 and the all-ones vector attain max(eta_1, sum / min(k, n)) over
     # every flat prefix, so schatten:1, schatten:inf and kyfan:k need no other
     rng = np.random.default_rng([41, n])
-    cands = [xi for xi in _dual_candidates(np.ones(n))]
-    assert np.array_equal(cands[0], np.eye(n)[0])
-    assert n == 1 or np.array_equal(cands[1], np.ones(n))
-    assert len(cands) == (1 if n == 1 else 2)
     for _ in range(5):
         eta = np.sort(rng.integers(1, 4, n).astype(float) * rng.exponential())[::-1]
         for phi in [SymNormFunc.schatten(1), SymNormFunc.schatten(math.inf)] + [
                 SymNormFunc.kyfan(k) for k in (1, 2, 3, 5, 9)]:
             res = adjoint_phi_eval(phi, eta)
             assert res.estimate == pytest.approx(res.closed_form, rel=1e-14)
+
+
+def test_dual_estimate_is_the_rescaled_pairing_ratio_of_its_trial_vectors():
+    # every trial vector has largest entry 1, so rescaling it and eta by their
+    # largest entries, as the oracle does for any xi, changes no bit
+    rng = np.random.default_rng(44)
+    gauges = [SymNormFunc.schatten(p) for p in (1, 1.01, 1.5, 2, 3, 8, math.inf)] + [
+        SymNormFunc.kyfan(k) for k in (1, 3, 20)]
+    for n in (1, 2, 7, 64, 256):
+        draws = [rng.exponential(size=n), rng.integers(1, 4, n).astype(float),
+                 np.where(np.arange(n) < n // 2 + 1, rng.exponential(size=n), 0.0)]
+        for eta in (np.sort(d)[::-1] * 2.0 ** k for d in draws for k in (-600, 0, 600)):
+            trials = [np.eye(1, n)[0]] + ([np.ones(n)] if n > 1 else [])
+            for phi in gauges:
+                holder = []
+                if phi.kind == "schatten" and 1.0 < phi.p < math.inf:
+                    with np.errstate(under="ignore"):
+                        holder = [np.power(eta / eta.max(), 1.0 / (phi.p - 1.0))]
+                expected = max(pairing_ratio(phi, xi, eta) for xi in trials + holder)
+                assert adjoint_phi_eval(phi, eta).estimate == expected, (phi, n)
 
 
 def test_probe_family_holds_each_sequence_once():
