@@ -8,6 +8,7 @@ one nonnegative real per line.  Reports encode their arrays by ``array_to_obj``.
 
 from __future__ import annotations
 
+import array
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import amenable, classical, nest, symfunc
+from . import amenable, nest, symfunc
 from .errors import InputError
 from .utils import MAX_GROUP_ORDER, MAX_INPUT_BYTES, as_matrix
 
@@ -63,9 +64,9 @@ def _load_json(path):
 def _complex_pairs(data: list, field: str) -> np.ndarray:
     """A list of [re, im] pairs as a flat complex array."""
     if set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}:
-        try:
-            parts = np.fromiter(chain.from_iterable(data), float, 2 * len(data))
-        except (TypeError, ValueError, OverflowError):
+        try:    # array takes numbers and bools: a string or None is a TypeError
+            parts = np.frombuffer(array.array("d", chain.from_iterable(data)))
+        except (TypeError, OverflowError):
             pass
         else:   # JSON true/false decode to 1.0/0.0: only then are the types read
             if not (((parts == 0.0) | (parts == 1.0)).any()
@@ -213,20 +214,3 @@ def functional_from_obj(obj, group: amenable.FiniteGroup) -> amenable.Functional
 
 def load_functional(path, group: amenable.FiniteGroup) -> amenable.Functional:
     return functional_from_obj(_load_json(path), group)
-
-
-def structure_from_obj(obj) -> tuple[str, classical.StructureData]:
-    if not isinstance(obj, dict):
-        raise InputError("structure object must be a JSON object")
-    typ = _require(obj, "type", str)
-    n = _require(obj, "n", int)
-    split = obj.get("split")
-    if split is not None:
-        if not isinstance(split, list) or len(split) != 2 or not all(map(_is_int, split)):
-            raise InputError("field 'split' must be a pair [p, q]")
-        split = tuple(split)
-    return typ, classical.default_structure(typ, n, split=split)
-
-
-def load_structure(path) -> tuple[str, classical.StructureData]:
-    return structure_from_obj(_load_json(path))

@@ -62,10 +62,15 @@ def frob(a) -> float:
 def svd(a, vectors: bool = False):
     """The package's one dense SVD: a's singular values, descending, taken of
     ``pow2_scaled(a)`` and multiplied back by 2^e, so 2^k times a's while in
-    range; with ``vectors``, (w, s, vh), a = w diag(s) vh, w and vh scale-free."""
+    range, and a DomainError past it; with ``vectors``, (w, s, vh),
+    a = w diag(s) vh, w and vh scale-free."""
     a, e = pow2_scaled(a)
     out = np.linalg.svd(a, compute_uv=vectors)
-    return (out[0], np.ldexp(out[1], e), out[2]) if vectors else np.ldexp(out, e)
+    s = out[1] if vectors else out
+    if s.size and math.frexp(s[0])[1] + e > 1024:     # s[0] 2^e >= 2^1024
+        raise DomainError("the largest singular value lies outside the double range")
+    s = np.ldexp(s, e)
+    return (out[0], s, out[2]) if vectors else s
 
 
 def opnorm(a) -> float:

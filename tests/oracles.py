@@ -482,14 +482,15 @@ def slsqp_dual_ascent(phi, eta, seed=7, restarts=2, max_iter=80, ftol=1e-9):
 
 def complex_pairs_by_asarray(data, field):
     """A list of [re, im] pairs as a flat complex array, by numpy's
-    conversion of the whole nested list, which reads JSON true/false as
-    numbers; they are refused after it, entry by entry."""
+    conversion of the whole nested list, which reads JSON true/false and
+    numeric strings as numbers and null as NaN; they are refused after it,
+    entry by entry."""
     try:
         pairs = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
         pairs = None
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2 or any(
-            isinstance(x, bool) for pair in data for x in pair):
+            x is None or isinstance(x, (bool, str)) for pair in data for x in pair):
         raise InputError(f"field {field!r} must be a list of [re, im] pairs")
     return pairs.view(complex).ravel()
 

@@ -161,6 +161,8 @@ def test_invariant_means_examples():
     oracle = _invariance_lstsq_oracle(s3)
     assert np.allclose(mu.weights.real, oracle, atol=1e-10)
     assert is_mean(mu)
+    assert not is_mean(Functional(z2, [0.5 + 0.5j, 0.5]))     # an imaginary weight
+    assert not is_mean(Functional(z2, [1.5, -0.5]))           # a negative weight
 
     assert np.allclose(invariant_means(trivial_group())[0].weights, [1.0])
 

@@ -476,6 +476,9 @@ def test_irreducibility_known_cases():
     assert not irreducibility_check([np.diag([1.0, 2.0]).astype(complex)])
     rng = np.random.default_rng(21)
     assert irreducibility_check([crandn(rng, 3, 3), crandn(rng, 3, 3)])
+    # zero generators: every matrix commutes, which is scalar only for n = 1
+    assert irreducibility_check([np.zeros((1, 1))])
+    assert not irreducibility_check([np.zeros((2, 2))])
     # block structure conjugated by a unitary is still reducible
     q, _ = np.linalg.qr(crandn(rng, 4, 4))
     blocks = []

@@ -90,10 +90,9 @@ def test_matrix_json_matches_per_element_reference():
     assert got.tobytes() == expected.reshape(4, 6).tobytes()   # keeps -0.0
 
 
-def test_group_json_and_structure_schemas(tmp_path):
+def test_group_json_schema(tmp_path):
     from opideal import cyclic_group
-    from opideal.serialize import (group_from_obj, resolve_group,
-                                   structure_from_obj)
+    from opideal.serialize import group_from_obj, resolve_group
     z3 = cyclic_group(3)
     path = tmp_path / "z3.json"
     path.write_text(json.dumps({"order": 3, "table": z3.table.tolist(),
@@ -104,13 +103,6 @@ def test_group_json_and_structure_schemas(tmp_path):
         group_from_obj({"order": 3, "table": [[0, 1], [1, 0]]})
     with pytest.raises(InputError):
         resolve_group("nosuchgroup")
-
-    typ, st = structure_from_obj({"type": "AIII", "n": 4, "split": [2, 2]})
-    assert typ == "AIII" and st.split == (2, 2)
-    with pytest.raises(InputError, match="split"):
-        structure_from_obj({"type": "AIII", "n": 4, "split": [4]})
-    with pytest.raises(InputError, match="type"):
-        structure_from_obj({"n": 4})
 
 
 def test_svalues_and_norm(workdir, capsys):
@@ -433,6 +425,13 @@ def test_error_reports(workdir, capsys):
      "cayley table entries must be element indices"),
     (["mean", "--group", "{file}"], {"order": 1, "table": [[0]], "labels": ["e", "a"]},
      "labels must match the group order"),
+    # numeric strings are not numbers, though numpy parses them; null is not NaN
+    (["svalues", "--matrix", "{file}"], {"rows": 1, "cols": 1, "data": [[" 2 ", "1e3"]]},
+     "field 'data' must be a list of [re, im] pairs"),
+    (["arens", "--group", "z6", "--mu", "{file}", "--nu", "{file}"],
+     {"weights": [["1", 0]] * 6}, "field 'weights' must be a list of [re, im] pairs"),
+    (["svalues", "--matrix", "{file}"], {"rows": 1, "cols": 1, "data": [[None, 0.0]]},
+     "field 'data' must be a list of [re, im] pairs"),
 ])
 def test_malformed_inputs_are_input_errors(workdir, capsys, command, payload, message):
     bad = workdir / "bad.json"
@@ -458,6 +457,21 @@ def test_computations_leaving_the_double_range_are_domain_errors(tmp_path, capsy
     assert code == 1
     assert _strict_json(out)["error"] == {
         "code": "domain-error", "message": "a computed value is not a finite double"}
+
+
+def test_singular_values_past_the_double_range_are_a_domain_error(tmp_path, capsys):
+    # every entry of this 2 x 2 matrix is 1e308, and its singular values are
+    # 2e308 and 0: one DomainError from the library, with no overflow warning
+    from opideal import DomainError, singular_values
+    big = np.full((2, 2), 1e308)
+    message = "the largest singular value lies outside the double range"
+    with pytest.raises(DomainError, match=message):
+        singular_values(big)
+    save_matrix(tmp_path / "big.json", big)
+    for argv in (["svalues"], ["norm", "--phi", "schatten:2"]):
+        code, out = run_cli(argv + ["--matrix", str(tmp_path / "big.json")], capsys)
+        assert code == 1
+        assert _strict_json(out)["error"] == {"code": "domain-error", "message": message}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -823,20 +837,6 @@ def test_group_name_with_non_decimal_digits_is_input_error(capsys):
     code, out = run_cli(["mean", "--group", "z\u00b2"], capsys)   # superscript two
     assert code == 1
     assert json.loads(out)["error"]["code"] == "input-error"
-
-
-def test_structure_loader_rejects_malformed_json(tmp_path):
-    from opideal.serialize import load_structure
-    path = tmp_path / "s.json"
-    path.write_text('{"type": "AIII", "n": 4,')
-    with pytest.raises(InputError, match="not valid JSON"):
-        load_structure(path)
-    path.write_text('{"type": "AIII", "n": false}')
-    with pytest.raises(InputError, match="'n'"):
-        load_structure(path)
-    path.write_text('{"type": "AIII", "n": 4, "split": ["2", 2]}')
-    with pytest.raises(InputError, match="split"):
-        load_structure(path)
 
 
 def test_unknown_subcommand_exits_2():

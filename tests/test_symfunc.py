@@ -28,6 +28,7 @@ def test_sequence_validation():
     with pytest.raises(InputError):
         NonincreasingSequence([np.nan, 1.0])
     assert list(NonincreasingSequence.rearranged([1.0, 5.0, 2.0])) == [5.0, 2.0, 1.0]
+    assert NonincreasingSequence([3.0, 1.0])[1] == 1.0
 
 
 def test_gauge_descriptor_validation():
@@ -43,6 +44,7 @@ def test_gauge_descriptor_validation():
         SymNormFunc.parse("schatten")
     with pytest.raises(InputError):
         SymNormFunc.parse("lp:2")
+    assert dual_gauge(SymNormFunc.kyfan(2)) is None     # max(xi_1, sum / k): no kyfan
 
 
 def test_phi_eval_examples():
@@ -60,6 +62,7 @@ def test_phi_eval_examples():
 ])
 def test_gauge_normalisation(phi):
     assert phi_eval(phi, [1.0, 0.0, 0.0]) == pytest.approx(1.0)
+    assert phi_eval(phi, []) == 0.0
 
 
 def test_singular_values_identity_and_diag():
