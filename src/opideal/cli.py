@@ -3,10 +3,10 @@
 Reports go to stdout as JSON (or CSV for experiments); diagnostics go to
 stderr.  Exit status 0 on success, 1 with a structured error report on
 validation or domain failures, 2 on unknown subcommands or bad flags.
-``experiment`` is the only randomised subcommand; it takes a seed (flag,
-else OPIDEAL_SEED, else a fixed constant), so identical invocations produce
-byte-identical output.  ``dualnorm`` and ``boyd`` are deterministic and
-accept ``--seed`` without using it.
+``experiment`` is the only randomised subcommand; its seed is ``--seed``,
+else a fixed constant, so identical invocations produce byte-identical
+output.  ``dualnorm`` and ``boyd`` are deterministic and accept ``--seed``
+without using it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import gc
 import json
 import math
-import os
 import sys
 
 from . import (CLASSICAL_TYPES, amenable, classical, factor, harish, nest, serialize,
@@ -23,22 +22,6 @@ from . import (CLASSICAL_TYPES, amenable, classical, factor, harish, nest, seria
 from .errors import DomainError, InputError
 
 DEFAULT_SEED = 1729
-
-
-def _resolve_seed(value) -> int:
-    source = "--seed"
-    if value is None:
-        env = os.environ.get("OPIDEAL_SEED")
-        if env is None:
-            return DEFAULT_SEED
-        source = "OPIDEAL_SEED"
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputError(f"OPIDEAL_SEED must be an integer, got {env!r}") from None
-    if value < 0:
-        raise InputError(f"{source} must be a nonnegative integer, got {value}")
-    return value
 
 
 def _parse_ints(text: str, what: str):
@@ -270,8 +253,9 @@ def _cmd_experiment(args):
         raise InputError(f"unknown experiment {args.which!r}")
     phi = symfunc.SymNormFunc.parse(args.phi)
     sizes = _parse_ints(args.sizes, "--sizes")
-    rows = nest.truncation_norm_experiment(
-        phi, sizes, args.trials, _resolve_seed(args.seed))
+    if args.seed < 0:
+        raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
+    rows = nest.truncation_norm_experiment(phi, sizes, args.trials, args.seed)
     return "n,ratio\n" + "".join(f"{n},{r!r}\n" for n, r in rows)
 
 
@@ -385,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--sizes", required=True, help="comma list of dimensions")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 

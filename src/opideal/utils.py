@@ -54,9 +54,13 @@ def solve(d, b) -> np.ndarray:
 
 def frob(a) -> float:
     """Frobenius norm of ``pow2_scaled(a)`` times 2^e: no square overflows, one
-    that underflows is below rounding, and 2^k a has 2^k times a's norm in range."""
+    that underflows is below rounding, 2^k a has 2^k times a's norm in range,
+    and a DomainError past it."""
     a, e = pow2_scaled(a)
-    return float(np.ldexp(np.linalg.norm(a), e))
+    r = float(np.linalg.norm(a))
+    if math.frexp(r)[1] + e > 1024:     # r 2^e >= 2^1024
+        raise DomainError("the Frobenius norm lies outside the double range")
+    return float(np.ldexp(r, e))
 
 
 def svd(a, vectors: bool = False):

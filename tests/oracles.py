@@ -21,7 +21,8 @@ arithmetic where the package divides by the largest entry or its power of 2
 in floating point, and the power-of-2 prescale taken part by part where the
 package scales the interleaved parts in one call, and the pairing ratio
 rescaled for any trial vector where the package pairs only trial vectors
-whose largest entry is 1.
+whose largest entry is 1, and each classical type's defining relations
+written out by hand where the package builds them from its own table.
 """
 
 import decimal
@@ -34,7 +35,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from opideal import Flag, InputError, UnitaryRep, project, symmetric_group
-from opideal.classical import _relations
 from opideal.serialize import complex_to_pairs, matrix_to_obj
 from opideal.symfunc import _average, _gauge_raw
 from opideal.utils import crandn, dagger, frob, opnorm
@@ -185,11 +185,31 @@ def triviality_by_pairs(group, weights, tol):
     return True
 
 
+# Each classical type's defining relations and the structure matrix each
+# reads, written out from the classical module docstring and P. de la Harpe,
+# Classical Banach-Lie Algebras and Banach-Lie Groups of Operators in Hilbert
+# Space (LNM 285, 1972): orthogonal and symplectic forms, real and
+# quaternionic structures, and the signature of a pseudo-unitary group.
+TYPE_RELATIONS = {
+    "A": (),                                        # GL(n, C)
+    "B": (("orth", "c_conj"),),                     # O(n, C)
+    "C": (("symp", "c_anti"),),                     # Sp(n, C)
+    "AI": (("real", "c_conj"),),                    # GL(n, R)
+    "AII": (("quat", "c_anti"),),                   # GL(n/2, H)
+    "AIII": (("iu", "v"),),                         # U(p, q)
+    "BI": (("orth", "c_conj"), ("iu", "v")),        # O(p, q)
+    "BII": (("orth", "c_conj"), ("quat", "c_anti")),    # O*(n)
+    "CI": (("symp", "c_anti"), ("real", "c_conj")),     # Sp(n, R)
+    "CII": (("symp", "c_anti"), ("iu", "v")),       # Sp(p/2, q/2)
+}
+
+
 def algebra_membership_by_relations(x, typ, structure, tol):
     """Lie algebra membership from the defining relations written out, not
     from the involutions: each residual within tol max(1, ||x||) sqrt(n)."""
     scale = tol * max(1.0, opnorm(x)) * np.sqrt(x.shape[0])
-    for name, c in _relations(typ, structure):
+    for name, attr in TYPE_RELATIONS[typ]:
+        c = getattr(structure, attr)
         if name == "orth":              # x = -C x^T conj(C)
             res = frob(x + c @ x.T @ c.conj())
         elif name == "symp":            # x = +Ca x^T conj(Ca)

@@ -521,3 +521,30 @@ def test_algebra_membership_matches_relation_oracle(typ):
                 got = algebra_membership(y, typ, st)
                 assert got == algebra_membership_by_relations(y, typ, st, 1e-10)
                 assert got == (typ == "A")
+
+
+# real dimension of each type's Lie algebra at n = 4 with the default split:
+# gl(4, C), o(4, C), sp(4, C), gl(4, R), gl(2, H), u(2, 2), o(2, 2), o*(4),
+# sp(4, R) and sp(1, 1)
+_ALGEBRA_DIMS_AT_4 = {"A": 32, "B": 12, "C": 20, "AI": 16, "AII": 16, "AIII": 16,
+                      "BI": 6, "BII": 6, "CI": 10, "CII": 10}
+
+
+@pytest.mark.parametrize("typ", CLASSICAL_TYPES)
+def test_algebra_projection_has_the_textbook_real_dimension(typ):
+    # the projection is R-linear: its image is spanned by the images of the
+    # 32 real basis matrices e_jk and i e_jk
+    units = np.eye(16).reshape(16, 4, 4)
+    images = [algebra_project(z * u, typ).view(float).ravel() for u in units for z in (1, 1j)]
+    assert np.linalg.matrix_rank(np.array(images)) == _ALGEBRA_DIMS_AT_4[typ]
+
+
+def test_bi_witnesses_tell_it_from_the_other_types_on_its_structure():
+    # O(1, 1) inside GL(2, C): a complex hyperbolic rotation is orthogonal and
+    # pseudo-unitary; the real one is pseudo-unitary and real, not orthogonal
+    st = default_structure("BI", 2, split=(1, 1))
+    c, s = np.cosh(0.7), np.sinh(0.7)
+    assert group_membership(np.array([[c, 1j * s], [-1j * s, c]]), "BI", st)
+    real = np.array([[c, s], [s, c]])
+    assert group_membership(real, "AIII", st)
+    assert not group_membership(real, "BI", st)

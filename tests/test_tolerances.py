@@ -3,16 +3,18 @@ decide alike wherever they are used."""
 
 import ast
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opideal import (DomainError, Flag, InputError, StructureData, UnitaryRep,
-                     cartan_decompose, cyclic_group, qb_nest, utils, validate_structure)
-from opideal.utils import (HERMITIAN_TOL, UNITARY_TOL, cond2, crandn, dagger, frob,
-                           is_hermitian, is_singular, is_unitary, pow2_scaled,
-                           solve, svd)
+from opideal import (DomainError, Flag, InputError, Partition, StructureData, UnitaryRep,
+                     cartan_decompose, cyclic_group, ldl_nest, qb_nest, singular_values, utils,
+                     validate_structure)
+from opideal.utils import (HERMITIAN_TOL, PD_THRESHOLD, SINGULAR_CLIP, UNITARY_TOL, cond2,
+                           crandn, dagger, frob, is_hermitian, is_singular, is_unitary,
+                           pow2_scaled, solve, svd)
 from oracles import frobenius_norm_decimal, pow2_scaled_by_parts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opideal"
@@ -56,6 +58,27 @@ def test_unitarity_bound_is_shared(factor, accepted):
                 build()
 
 
+@pytest.mark.parametrize("factor, clipped", [(0.5, True), (2.0, False)])
+def test_singular_values_clip_below_the_relative_threshold(factor, clipped):
+    # a singular value of half (twice) SINGULAR_CLIP times the largest
+    small = factor * SINGULAR_CLIP
+    s = singular_values(np.diag([1.0, small]))
+    assert (s[0], s[1]) == (1.0, 0.0 if clipped else small)
+
+
+@pytest.mark.parametrize("factor, refused", [(0.5, True), (2.0, False)])
+def test_positive_definite_margin_is_relative_to_the_largest_eigenvalue(factor, refused):
+    # a smallest eigenvalue of half (twice) PD_THRESHOLD times the largest
+    a = np.diag([1.0, factor * PD_THRESHOLD])
+    part = Partition.maximal(Flag.standard(2))
+    if refused:
+        with pytest.raises(DomainError, match="a is not positive definite"):
+            ldl_nest(a, part)
+    else:
+        factors = ldl_nest(a, part)
+        assert np.array_equal(factors.d, a) and not factors.r.any()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_predicates_reject_nan_residuals():
@@ -92,7 +115,9 @@ def test_frobenius_norm_is_exact_under_power_of_two_scaling():
     assert frob(np.zeros((3, 3))) == 0.0 and frob(np.zeros((0, 2))) == 0.0
     with np.errstate(over="raise"):     # as under the command line
         assert frob(scaled(1000)) == np.ldexp(frob(a), 1000)
-        with pytest.raises(FloatingPointError):     # the norm itself is past the range
+    with warnings.catch_warnings():     # the norm itself is past the range: named, no warning
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^the Frobenius norm lies outside the double range$"):
             frob(np.full((2, 2), 1e308))
 
 
@@ -262,6 +287,17 @@ def test_readme_tolerance_rows_name_only_utils_constants():
     assert "COND_LIMIT" in listed and "MAX_GROUP_ORDER" in listed
     stale = [name for name in listed if name not in names]
     assert stale == [], f"README.md rows for constants not in utils: {stale}"
+
+
+def test_readme_gives_each_constant_its_value():
+    # the documented value is the value: a threshold moved in utils alone fails here
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+    assert [name for name, _ in rows] == _readme_table_constants(readme)
+    for name, cell in rows:
+        power = re.search(r"\(2\^(\d+) bytes\)", cell)
+        assert getattr(utils, name) == (2 ** int(power.group(1)) if power else float(cell)), name
 
 
 def _unread_constants(package):
